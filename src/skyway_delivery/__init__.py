@@ -8,7 +8,7 @@ model), ``simulator`` (kinematic mission execution) and ``scenario``/``cli``
 from __future__ import annotations
 
 from . import errors
-from .cli import CompareResult, StrategyOutcome, cli_main, compare_strategies
+from .cli import cli_main
 from .energy import (
     BatteryState,
     EnergyBreakdown,
@@ -51,11 +51,13 @@ from .scenario import (
 from .simulator import (
     DEFAULT_RELEASE_DWELL,
     DEFAULT_TELEMETRY_STEP,
-    DroneState,
+    CompareResult,
     MissionReport,
+    StrategyOutcome,
     StringRig,
     TelemetryLog,
     TelemetryRecord,
+    compare_strategies,
     cruise_altitude,
     release_altitude,
     simulate_mission,
@@ -69,7 +71,6 @@ __all__ = [
     "DEFAULT_RELEASE_DWELL",
     "DEFAULT_TELEMETRY_STEP",
     "DroneConfig",
-    "DroneState",
     "EnergyBreakdown",
     "EXHAUSTIVE_PACKAGE_CAP",
     "FeasibilityReport",

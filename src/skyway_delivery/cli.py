@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InfeasiblePayload, SkywayError
@@ -22,58 +21,16 @@ from .scenario import (
     serialize_report,
     serialize_scenario,
 )
-from .simulator import MissionReport, simulate_mission
+# The compare types stay importable from here as well as from the package.
+from .simulator import CompareResult, StrategyOutcome, compare_strategies, simulate_mission  # noqa: F401
 
 _PLANNERS = {"ndf": plan_ndf, "exhaustive": plan_optimal}
-
-
-@dataclass(frozen=True)
-class StrategyOutcome:
-    label: str
-    release_order: tuple[str, ...]
-    total_distance: float
-    total_energy: float
-    completed: bool
-
-
-@dataclass(frozen=True)
-class CompareResult:
-    ndf: StrategyOutcome
-    optimal: StrategyOutcome
-    distance_gap_percent: float
 
 
 def _plan(scenario: Scenario, strategy: str) -> MissionPlan:
     planner = _PLANNERS[strategy]
     return planner(scenario.network, scenario.source, scenario.packages,
                    drone=scenario.drone, level_count=scenario.rig.level_count)
-
-
-def _simulate(scenario: Scenario, plan: MissionPlan):
-    assignment = assign_levels(plan)
-    return simulate_mission(scenario.network, plan, assignment,
-                            scenario.drone, scenario.rig, scenario.packages)
-
-
-def compare_strategies(scenario: Scenario) -> CompareResult:
-    """Plan and fly both strategies, then relate their total distances."""
-    outcomes = {}
-    for label in ("ndf", "exhaustive"):
-        plan = _plan(scenario, label)
-        _, report = _simulate(scenario, plan)
-        outcomes[label] = StrategyOutcome(
-            label=label,
-            release_order=plan.release_order,
-            total_distance=plan_total_distance(plan),
-            total_energy=report.energy.total,
-            completed=report.completed,
-        )
-    ndf, optimal = outcomes["ndf"], outcomes["exhaustive"]
-    if optimal.total_distance > 0:
-        gap = 100.0 * (ndf.total_distance - optimal.total_distance) / optimal.total_distance
-    else:
-        gap = 0.0
-    return CompareResult(ndf=ndf, optimal=optimal, distance_gap_percent=gap)
 
 
 def _load_scenario(path: str) -> Scenario:
@@ -119,7 +76,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.scenario)
     plan = _plan(scenario, args.strategy)
-    log, report = _simulate(scenario, plan)
+    log, report = simulate_mission(scenario.network, plan, assign_levels(plan),
+                                   scenario.drone, scenario.rig, scenario.packages)
     if args.telemetry:
         Path(args.telemetry).write_text(export_telemetry(log),
                                         encoding="utf-8", newline="")

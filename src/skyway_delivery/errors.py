@@ -28,6 +28,10 @@ class ZeroLengthSegment(SkywayError):
     """Two distinct nodes share a position, which would give a 0 m segment."""
 
 
+class NonFiniteLength(SkywayError):
+    """A segment or a flight move is too long to measure: its length overflows."""
+
+
 class DisconnectedNetwork(SkywayError):
     def __init__(self, unreachable):
         self.unreachable = frozenset(unreachable)
@@ -49,6 +53,10 @@ class InfeasiblePayload(SkywayError):
 
 class UnknownDestination(SkywayError):
     pass
+
+
+class InvalidPackage(SkywayError):
+    """A package delivers to the source, or shares its id with another."""
 
 
 class TooManyPackagesForExhaustive(SkywayError):

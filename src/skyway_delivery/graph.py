@@ -14,6 +14,7 @@ from .errors import (
     DisconnectedNetwork,
     DuplicateNodeId,
     DuplicateSegment,
+    NonFiniteLength,
     SelfLoopSegment,
     UnknownEndpoint,
     UnknownNode,
@@ -76,7 +77,7 @@ def build_network(node_specs: Iterable[tuple], segment_specs: Iterable[tuple[str
 
     ``node_specs`` holds (id, x, y, rooftop_height) tuples, ``segment_specs``
     (a, b) endpoint pairs. Raises DuplicateNodeId, UnknownEndpoint,
-    SelfLoopSegment, DuplicateSegment, ZeroLengthSegment or
+    SelfLoopSegment, DuplicateSegment, ZeroLengthSegment, NonFiniteLength or
     DisconnectedNetwork as appropriate.
     """
     nodes: dict[str, Node] = {}
@@ -103,6 +104,8 @@ def build_network(node_specs: Iterable[tuple], segment_specs: Iterable[tuple[str
         length = math.dist((nodes[a].x, nodes[a].y), (nodes[b].x, nodes[b].y))
         if length == 0.0:
             raise ZeroLengthSegment(f"segment {a!r}-{b!r} joins coincident positions")
+        if length == math.inf:
+            raise NonFiniteLength(f"segment {a!r}-{b!r} is too long: its length overflows")
         segments.append(Segment(pair[0], pair[1], length))
     segments.sort(key=lambda s: (s.a, s.b))
 

@@ -6,7 +6,12 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InfeasiblePayload, TooManyPackagesForExhaustive, UnknownDestination
+from .errors import (
+    InfeasiblePayload,
+    InvalidPackage,
+    TooManyPackagesForExhaustive,
+    UnknownDestination,
+)
 from .graph import Path, SkywayNetwork, shortest_paths_from
 
 EXHAUSTIVE_PACKAGE_CAP = 9
@@ -21,8 +26,8 @@ class Package:
     def __post_init__(self):
         if not self.id:
             raise ValueError("package id must be a non-empty string")
-        if not self.mass > 0:
-            raise ValueError(f"package {self.id!r}: mass must be > 0")
+        if not 0 < self.mass < math.inf:
+            raise ValueError(f"package {self.id!r}: mass must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -38,12 +43,12 @@ class DroneConfig:
     payload_rate: float = 1.0
 
     def __post_init__(self):
-        if self.frame_mass < 0:
-            raise ValueError("frame_mass must be >= 0")
+        if not 0 <= self.frame_mass < math.inf:
+            raise ValueError("frame_mass must be finite and >= 0")
         for name in ("max_payload", "battery_capacity", "cruise_speed",
                      "vertical_speed", "base_rate", "payload_rate"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -114,6 +119,11 @@ def _check_inputs(network: SkywayNetwork, source: str, packages: Sequence[Packag
             raise UnknownDestination(
                 f"package {package.id!r}: unknown destination {package.destination!r}"
             )
+        if package.destination == source:
+            raise InvalidPackage(f"package {package.id!r}: destination is the source")
+    for earlier, later in zip(ordered, ordered[1:]):
+        if earlier.id == later.id:
+            raise InvalidPackage(f"package id {later.id!r} appears more than once")
     if drone is not None or level_count is not None:
         report = check_feasibility(drone, ordered, level_count)
         if not report.feasible:

@@ -2,18 +2,23 @@
 
 Motion is sequential (vertical then horizontal) at piecewise-constant speed
 with instantaneous turns. Energy is charged per metre of 3D travel; hovering
-during the release dwell is free.
+during the release dwell is free. ``compare_strategies`` flies the NDF and
+the exhaustive plan of one scenario side by side.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .energy import BatteryState, EnergyBreakdown, LegEnergy, consumption_rate, drain, leg_energy
-from .errors import BatteryDepleted, InconsistentAssignment, InvalidLevel
+from .energy import BatteryState, EnergyBreakdown, LegEnergy, consumption_rate, drain
+from .errors import BatteryDepleted, InconsistentAssignment, InvalidLevel, NonFiniteLength
 from .graph import Path, SkywayNetwork
-from .planner import DroneConfig, HangingAssignment, MissionPlan, Package
+from .planner import (DroneConfig, HangingAssignment, MissionPlan, Package, assign_levels,
+                      plan_ndf, plan_optimal, plan_total_distance)
+
+if TYPE_CHECKING:
+    from .scenario import Scenario
 
 DEFAULT_RELEASE_DWELL = 2.0   # seconds of rebound pause before a package drops free
 DEFAULT_TELEMETRY_STEP = 0.1  # seconds between interval samples
@@ -34,13 +39,13 @@ class StringRig:
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
         for hang in self.levels:
-            if not hang > 0:
-                raise ValueError("every hang length must be > 0")
+            if not 0 < hang < math.inf:
+                raise ValueError("every hang length must be finite and > 0")
         for below, above in zip(self.levels, self.levels[1:]):
             if not below > above:
                 raise ValueError("hang lengths must strictly decrease from level 1 up")
-        if not self.clearance > 0:
-            raise ValueError("clearance must be > 0")
+        if not 0 < self.clearance < math.inf:
+            raise ValueError("clearance must be finite and > 0")
 
     @property
     def level_count(self) -> int:
@@ -50,16 +55,6 @@ class StringRig:
         if not 1 <= level <= len(self.levels):
             raise InvalidLevel(f"level {level} outside 1..{len(self.levels)}")
         return self.levels[level - 1]
-
-
-@dataclass
-class DroneState:
-    x: float
-    y: float
-    z: float
-    loaded: set[str]
-    battery: BatteryState
-    clock: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -101,11 +96,13 @@ def release_altitude(node, rig: StringRig, level: int) -> float:
 
 
 class _Flight:
-    """Mutable flight bookkeeping: motion, sampling, battery, telemetry."""
+    """The one mutable flight state: position, clock, battery, payload, telemetry."""
 
-    def __init__(self, state: DroneState, drone: DroneConfig, payload_mass: float,
-                 telemetry_step: float):
-        self.state = state
+    def __init__(self, x: float, y: float, z: float, drone: DroneConfig,
+                 payload_mass: float, telemetry_step: float):
+        self.x, self.y, self.z = x, y, z
+        self.clock = 0.0
+        self.battery = BatteryState(drone.battery_capacity, drone.battery_capacity)
         self.drone = drone
         self.payload_mass = payload_mass
         self.step = telemetry_step
@@ -115,35 +112,52 @@ class _Flight:
         self._samples = 0
 
     def emit(self, event: str) -> None:
-        s = self.state
         self.records.append(TelemetryRecord(
-            s.clock, s.x, s.y, s.z, self.payload_mass, s.battery.remaining, event))
+            self.clock, self.x, self.y, self.z, self.payload_mass,
+            self.battery.remaining, event))
 
-    def travel(self, x: float, y: float, z: float, speed: float) -> bool:
-        """Fly straight to (x, y, z); returns False when the battery dies en route."""
-        s = self.state
-        dist = math.dist((s.x, s.y, s.z), (x, y, z))
+    def travel(self, x: float, y: float, z: float, speed: float) -> None:
+        """Fly straight to (x, y, z).
+
+        When the battery dies en route the drone stops where it ran dry, an
+        ABORT record closes the telemetry and BatteryDepleted is raised.
+        """
+        dist = math.dist((self.x, self.y, self.z), (x, y, z))
         if dist == 0.0:
-            return True
+            return
+        if not math.isfinite(dist):
+            raise NonFiniteLength(f"flight to ({x}, {y}, {z}) has no finite length")
         rate = consumption_rate(self.drone, self.payload_mass)
         try:
-            after = drain(s.battery, leg_energy(self.drone, self.payload_mass, dist))
+            after = drain(self.battery, rate * dist)
         except BatteryDepleted:
-            reachable = s.battery.remaining / (rate * dist)
-            self._advance(x, y, z, dist, speed, rate, reachable)
-            s.battery = BatteryState(s.battery.capacity, 0.0)
+            fraction = self.battery.remaining / (rate * dist)
+            self._advance(x, y, z, dist, speed, rate, fraction)
+            self.x += (x - self.x) * fraction
+            self.y += (y - self.y) * fraction
+            self.z += (z - self.z) * fraction
+            self.total_distance += dist * fraction
+            self.leg_distance += dist * fraction
+            self.battery = BatteryState(self.battery.capacity, 0.0)
             self.emit("ABORT")
-            return False
+            raise
         self._advance(x, y, z, dist, speed, rate, 1.0)
-        s.x, s.y, s.z = x, y, z  # land exactly on the target point
-        s.battery = after
-        return True
+        self.x, self.y, self.z = x, y, z  # land exactly on the target point
+        self.total_distance += dist
+        self.leg_distance += dist
+        self.battery = after
+
+    def hold(self, duration: float) -> None:
+        """Hover in place, spending nothing: a move to the current point at
+        rate 0 whose length, flown at unit speed, is the duration."""
+        self._advance(self.x, self.y, self.z, duration, 1.0, 0.0, 1.0)
 
     def _advance(self, x: float, y: float, z: float, dist: float, speed: float,
                  rate: float, fraction: float) -> None:
-        s = self.state
-        x0, y0, z0, t0 = s.x, s.y, s.z, s.clock
-        battery0 = s.battery.remaining
+        """Sample ``fraction`` of a move toward (x, y, z) on the step grid and
+        move the clock to its end; the caller places the drone."""
+        x0, y0, z0, t0 = self.x, self.y, self.z, self.clock
+        battery0 = self.battery.remaining
         t1 = t0 + dist * fraction / speed
         while True:
             ts = (self._samples + 1) * self.step
@@ -162,50 +176,22 @@ class _Flight:
                 battery0 - rate * speed * (ts - t0),
                 "",
             ))
-        s.x = x0 + (x - x0) * fraction
-        s.y = y0 + (y - y0) * fraction
-        s.z = z0 + (z - z0) * fraction
-        s.clock = t1
-        moved = dist * fraction
-        self.total_distance += moved
-        self.leg_distance += moved
-
-    def hold(self, duration: float) -> None:
-        """Hover in place; time passes, nothing is spent."""
-        s = self.state
-        t1 = s.clock + duration
-        while True:
-            ts = (self._samples + 1) * self.step
-            if ts >= t1 - _BOUNDARY_EPS:
-                break
-            self._samples += 1
-            if ts <= s.clock + _BOUNDARY_EPS:
-                continue
-            self.records.append(TelemetryRecord(
-                ts, s.x, s.y, s.z, self.payload_mass, s.battery.remaining, ""))
-        s.clock = t1
-
-    def release(self, package_id: str, remaining_payload: float) -> None:
-        self.state.loaded.discard(package_id)
-        self.payload_mass = remaining_payload
-        self.emit(f"RELEASE({package_id})")
+        self.clock = t1
 
 
-def _check_consistency(order: tuple[str, ...], assignment: HangingAssignment,
+def _check_consistency(plan: MissionPlan, assignment: HangingAssignment,
                        mass_of: dict[str, float], rig: StringRig) -> None:
-    if set(assignment.level_of) != set(order) or assignment.level_count != len(order):
-        raise InconsistentAssignment(
-            "assignment does not cover exactly the packages the plan releases")
-    for position, package_id in enumerate(order, start=1):
-        if assignment.level_of[package_id] != position:
-            raise InconsistentAssignment(
-                f"package {package_id!r} is release #{position} but hangs at "
-                f"level {assignment.level_of[package_id]}")
+    order = plan.release_order
+    for i, package_id in enumerate(order):
+        if package_id in order[:i]:
+            raise InconsistentAssignment(f"package {package_id!r} is released twice")
         if package_id not in mass_of:
             raise InconsistentAssignment(f"released package {package_id!r} has no mass entry")
-    if assignment.level_count > rig.level_count:
-        raise InvalidLevel(
-            f"{assignment.level_count} packages exceed the rig's {rig.level_count} levels")
+    if assignment != assign_levels(plan):
+        raise InconsistentAssignment(
+            "assignment must hang the i-th released package at level i")
+    if len(order) > rig.level_count:
+        raise InvalidLevel(f"{len(order)} packages exceed the rig's {rig.level_count} levels")
 
 
 def simulate_mission(network: SkywayNetwork, plan: MissionPlan,
@@ -220,86 +206,77 @@ def simulate_mission(network: SkywayNetwork, plan: MissionPlan,
     delivery legs descend until the hanging package touches the rooftop, pause
     for the release dwell, and let it go. The final leg lands back at the
     source. A dead battery cuts the flight short with an ABORT record.
+    ``assignment`` must equal ``assign_levels(plan)``.
     """
     if not telemetry_step > 0:
         raise ValueError("telemetry_step must be > 0")
-    if release_dwell < 0:
-        raise ValueError("release_dwell must be >= 0")
+    if not 0 <= release_dwell < math.inf:
+        raise ValueError("release_dwell must be finite and >= 0")
     mass_of = {p.id: p.mass for p in packages}
     order = plan.release_order
-    _check_consistency(order, assignment, mass_of, rig)
+    _check_consistency(plan, assignment, mass_of, rig)
 
-    source = network.node(plan.source)
-    state = DroneState(
-        x=source.x, y=source.y, z=source.rooftop_height,
-        loaded=set(order),
-        battery=BatteryState(drone.battery_capacity, drone.battery_capacity),
-    )
     # Payload after k releases, built as suffix sums so the sequence is
     # non-negative throughout and ends at exactly 0.0.
     payload_after = [0.0] * (len(order) + 1)
     for k in range(len(order) - 1, -1, -1):
         payload_after[k] = mass_of[order[k]] + payload_after[k + 1]
-    flight = _Flight(state, drone, payload_after[0], telemetry_step)
+    source = network.node(plan.source)
+    flight = _Flight(source.x, source.y, source.rooftop_height, drone,
+                     payload_after[0], telemetry_step)
     flight.emit("TAKEOFF")
 
-    loaded_levels = {assignment.level_of[pid] for pid in order}
+    # The i-th release hangs at level i, so the loaded levels are the ones
+    # above the releases made so far.
+    loaded_levels = set(range(1, len(order) + 1))
     releases: list[tuple[str, str, float]] = []
     leg_energies: list[LegEnergy] = []
     abort_reason: str | None = None
 
-    for leg_index, leg in enumerate(plan.legs):
+    for leg_number, leg in enumerate(plan.legs, start=1):
         leg_payload = flight.payload_mass
         leg_rate = consumption_rate(drone, leg_payload)
         flight.leg_distance = 0.0
-
         if leg.release is None and leg.path.total_length == 0.0:
             # Package-free mission: the drone never leaves the rooftop.
             leg_energies.append(LegEnergy(0.0, leg_payload, leg_rate, 0.0))
             flight.emit("LAND")
             break
-        if leg.release is None and order:
-            flight.emit("RETURN_LEG")
-
-        altitude = cruise_altitude(network, leg.path, rig, loaded_levels)
-        ok = True
-        dz = altitude - state.z
-        if dz != 0.0:
-            flight.emit("ASCEND" if dz > 0 else "DESCEND")
-            ok = flight.travel(state.x, state.y, altitude, drone.vertical_speed)
-        if ok:
+        try:
+            if leg.release is None and order:
+                flight.emit("RETURN_LEG")
+            altitude = cruise_altitude(network, leg.path, rig, loaded_levels)
+            dz = altitude - flight.z
+            if dz != 0.0:
+                flight.emit("ASCEND" if dz > 0 else "DESCEND")
+                flight.travel(flight.x, flight.y, altitude, drone.vertical_speed)
             for next_id in leg.path.nodes[1:]:
                 target = network.node(next_id)
                 flight.emit("CRUISE")
-                if not flight.travel(target.x, target.y, altitude, drone.cruise_speed):
-                    ok = False
-                    break
-        if ok:
+                flight.travel(target.x, target.y, altitude, drone.cruise_speed)
             end_node = network.node(leg.path.nodes[-1])
             flight.emit("ARRIVE")
             flight.emit("DESCEND")
-            if leg.release is not None:
-                level = assignment.level_of[leg.release]
-                ok = flight.travel(state.x, state.y,
-                                   release_altitude(end_node, rig, level),
-                                   drone.vertical_speed)
-                if ok:
-                    flight.hold(release_dwell)
-                    flight.release(leg.release, payload_after[len(releases) + 1])
-                    releases.append((leg.release, end_node.id, state.clock))
-                    loaded_levels.discard(level)
+            if leg.release is None:
+                flight.travel(flight.x, flight.y, end_node.rooftop_height,
+                              drone.vertical_speed)
+                flight.emit("LAND")
             else:
-                ok = flight.travel(state.x, state.y, end_node.rooftop_height,
-                                   drone.vertical_speed)
-                if ok:
-                    flight.emit("LAND")
-
-        leg_energies.append(LegEnergy(
-            flight.leg_distance, leg_payload, leg_rate,
-            leg_rate * flight.leg_distance))
-        if not ok:
-            abort_reason = f"battery depleted on leg {leg_index + 1}"
+                level = len(releases) + 1
+                flight.travel(flight.x, flight.y, release_altitude(end_node, rig, level),
+                              drone.vertical_speed)
+                flight.hold(release_dwell)
+                flight.payload_mass = payload_after[level]
+                flight.emit(f"RELEASE({leg.release})")
+                releases.append((leg.release, end_node.id, flight.clock))
+                loaded_levels.discard(level)
+        except BatteryDepleted:
+            abort_reason = f"battery depleted on leg {leg_number}"
             break
+        finally:
+            leg_energies.append(LegEnergy(
+                flight.leg_distance, leg_payload, leg_rate,
+                leg_rate * flight.leg_distance))
 
     breakdown = EnergyBreakdown(tuple(leg_energies),
                                 sum(rec.energy for rec in leg_energies))
@@ -308,7 +285,44 @@ def simulate_mission(network: SkywayNetwork, plan: MissionPlan,
         releases=tuple(releases),
         total_distance_3d=flight.total_distance,
         energy=breakdown,
-        end_position=(state.x, state.y, state.z),
+        end_position=(flight.x, flight.y, flight.z),
         abort_reason=abort_reason,
     )
     return flight.records, report
+
+
+@dataclass(frozen=True)
+class StrategyOutcome:
+    label: str
+    release_order: tuple[str, ...]
+    total_distance: float
+    total_energy: float
+    completed: bool
+
+
+@dataclass(frozen=True)
+class CompareResult:
+    ndf: StrategyOutcome
+    optimal: StrategyOutcome
+    distance_gap_percent: float
+
+
+def compare_strategies(scenario: Scenario) -> CompareResult:
+    """Plan and fly both strategies, then relate their total distances."""
+    outcomes = []
+    for label, planner in (("ndf", plan_ndf), ("exhaustive", plan_optimal)):
+        plan = planner(scenario.network, scenario.source, scenario.packages,
+                       drone=scenario.drone, level_count=scenario.rig.level_count)
+        _, report = simulate_mission(scenario.network, plan, assign_levels(plan),
+                                     scenario.drone, scenario.rig, scenario.packages)
+        outcomes.append(StrategyOutcome(
+            label=label,
+            release_order=plan.release_order,
+            total_distance=plan_total_distance(plan),
+            total_energy=report.energy.total,
+            completed=report.completed,
+        ))
+    ndf, optimal = outcomes
+    gap = (100.0 * (ndf.total_distance - optimal.total_distance) / optimal.total_distance
+           if optimal.total_distance > 0 else 0.0)
+    return CompareResult(ndf=ndf, optimal=optimal, distance_gap_percent=gap)

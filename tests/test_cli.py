@@ -215,3 +215,26 @@ def test_output_is_reproducible(capsys, scenario_dir, tmp_path):
     plans = [run_cli(capsys, "plan", str(scenario_dir / "demo3.json"))[1]
              for _ in range(2)]
     assert plans[0] == plans[1]
+
+
+def test_overflowing_segment_exits_two(capsys, tmp_path):
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({
+        "source": "W",
+        "nodes": [{"id": "W", "x": -1e308, "y": 0}, {"id": "E", "x": 1e308, "y": 0}],
+        "segments": [{"a": "W", "b": "E"}],
+    }), encoding="utf-8")
+    code, out, err = run_cli(capsys, "plan", str(path))
+    assert code == 2
+    assert out == ""
+    assert "network:" in err
+
+
+def test_compare_strategies_is_library_code():
+    import skyway_delivery
+    from skyway_delivery import cli, simulator
+
+    assert compare_strategies is simulator.compare_strategies
+    assert skyway_delivery.compare_strategies is simulator.compare_strategies
+    assert cli.CompareResult is simulator.CompareResult
+    assert cli.StrategyOutcome is simulator.StrategyOutcome

@@ -11,6 +11,7 @@ from skyway_delivery.errors import (
     DisconnectedNetwork,
     DuplicateNodeId,
     DuplicateSegment,
+    NonFiniteLength,
     SelfLoopSegment,
     UnknownEndpoint,
     UnknownNode,
@@ -161,3 +162,9 @@ def test_triangle_inequality(network):
             for w in ids:
                 assert dist[u][w].total_length <= (
                     dist[u][v].total_length + dist[v][w].total_length + 1e-9)
+
+
+def test_overflowing_segment_length_rejected():
+    # Both coordinates are finite, but the distance between them is not.
+    with pytest.raises(NonFiniteLength):
+        build_network([("W", -1e308, 0.0, 0.0), ("E", 1e308, 0.0, 0.0)], [("W", "E")])

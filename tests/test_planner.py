@@ -17,6 +17,7 @@ from skyway_delivery import (
 )
 from skyway_delivery.errors import (
     InfeasiblePayload,
+    InvalidPackage,
     TooManyPackagesForExhaustive,
     UnknownDestination,
 )
@@ -188,3 +189,32 @@ def test_plans_chain_and_return_home(seed):
             assert prev.path.nodes[-1] == cur.path.nodes[0]
         assert plan.legs[-1].path.nodes[-1] == scenario.source
         assert plan.legs[-1].release is None
+
+
+@pytest.mark.parametrize("planner", [plan_ndf, plan_optimal])
+def test_planners_reject_a_package_for_the_source(n1_network, planner):
+    packages = [Package("p1", 1.0, "A"), Package("home", 1.0, "S")]
+    with pytest.raises(InvalidPackage, match="'home'"):
+        planner(n1_network, "S", packages)
+
+
+@pytest.mark.parametrize("planner", [plan_ndf, plan_optimal])
+def test_planners_reject_duplicate_package_ids(n1_network, planner):
+    packages = [Package("p", 1.0, "A"), Package("p", 1.0, "B")]
+    with pytest.raises(InvalidPackage, match="'p'"):
+        planner(n1_network, "S", packages)
+
+
+@pytest.mark.parametrize("field", ["frame_mass", "max_payload", "battery_capacity",
+                                   "cruise_speed", "vertical_speed", "base_rate",
+                                   "payload_rate"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_drone_config_rejects_non_finite_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        DroneConfig(**{field: value})
+
+
+@pytest.mark.parametrize("mass", [math.inf, math.nan])
+def test_package_rejects_non_finite_mass(mass):
+    with pytest.raises(ValueError, match="mass"):
+        Package("p", mass, "A")

@@ -316,3 +316,10 @@ def test_serialize_report_layout(n1_network, n1_packages):
     assert doc["energy"]["total"] == pytest.approx(1645.735464897913)
     assert len(doc["energy"]["legs"]) == 4
     assert doc["end_position"] == pytest.approx([0.0, 0.0, 0.0])
+
+
+def test_overflowing_segment_reported_as_whole_network_fault():
+    problems = violations_of(doc(nodes=[
+        {"id": "S", "x": -1e308, "y": 0}, {"id": "T", "x": 1e308, "y": 0}]))
+    assert len(problems) == 1
+    assert problems[0].startswith("network:")

@@ -1,14 +1,25 @@
 from __future__ import annotations
 
 import dataclasses
+import math
+import os
+import pathlib
+import resource
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
 import helpers
+import skyway_delivery
 from skyway_delivery import (
+    DEFAULT_RELEASE_DWELL,
     DroneConfig,
     HangingAssignment,
+    Leg,
     Package,
+    Path,
     StringRig,
     assign_levels,
     build_network,
@@ -294,3 +305,114 @@ def test_generated_missions_complete_and_return_home():
             assert later.t >= earlier.t
             assert later.payload_mass <= earlier.payload_mass + 1e-12
             assert later.battery_remaining <= earlier.battery_remaining + 1e-9
+
+
+@pytest.mark.parametrize("fields", [
+    {"clearance": math.inf},
+    {"clearance": math.nan},
+    {"levels": (math.inf, 1.0)},
+    {"levels": (3.0, math.nan)},
+])
+def test_string_rig_rejects_non_finite_values(fields):
+    with pytest.raises(ValueError):
+        StringRig(**fields)
+
+
+@pytest.mark.parametrize("dwell", [math.inf, math.nan])
+def test_release_dwell_must_be_finite(n1_network, dwell):
+    plan = plan_ndf(n1_network, "S", [])
+    with pytest.raises(ValueError):
+        simulate_mission(n1_network, plan, assign_levels(plan), DroneConfig(),
+                         StringRig(), [], release_dwell=dwell)
+
+
+def test_overflowing_altitude_raises_instead_of_hanging():
+    # A finite rooftop plus a finite hang overflows to an infinite altitude.
+    # The flight runs in a child capped in time and memory, so a simulator
+    # that loops on it fails this test rather than hanging the suite.
+    script = textwrap.dedent("""
+        from skyway_delivery import (
+            DroneConfig, Package, StringRig, assign_levels, build_network,
+            plan_ndf, simulate_mission)
+        from skyway_delivery.errors import NonFiniteLength
+        network = build_network(
+            [("S", 0.0, 0.0, 0.0), ("A", 10.0, 0.0, 1e308)], [("S", "A")])
+        packages = [Package("p", 1.0, "A")]
+        plan = plan_ndf(network, "S", packages)
+        try:
+            simulate_mission(network, plan, assign_levels(plan), DroneConfig(),
+                             StringRig(levels=(1e308,)), packages)
+        except NonFiniteLength:
+            print("raised")
+    """)
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(pathlib.Path(skyway_delivery.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, preexec_fn=cap_memory,
+                         timeout=30)
+    assert out.stdout.strip() == "raised", out.stderr
+
+
+def test_release_dwell_samples_hold_position_payload_and_battery():
+    log, report = fly_n1()
+    release_t = report.releases[0][2]
+    release = next(record for record in log if record.event == "RELEASE(p1)")
+    dwell = [record for record in log
+             if not record.event and release_t - DEFAULT_RELEASE_DWELL < record.t < release_t]
+    assert len(dwell) == 19
+    for record in dwell:
+        assert (record.x, record.y, record.z) == (release.x, release.y, release.z)
+        assert record.payload_mass == 6.0
+        assert record.battery_remaining == release.battery_remaining
+
+
+def assert_telemetry_integrates_to_report(log, report):
+    integrated = sum(math.dist((a.x, a.y, a.z), (b.x, b.y, b.z))
+                     for a, b in zip(log, log[1:]))
+    assert integrated == pytest.approx(report.total_distance_3d, rel=1e-6, abs=1e-9)
+    drained = log[0].battery_remaining - log[-1].battery_remaining
+    assert drained == pytest.approx(report.energy.total, rel=1e-6, abs=1e-9)
+
+
+def test_abort_during_release_descent():
+    # Leg 1 spends 512 J reaching A's cruise point and 8 J per metre of descent.
+    log, report = fly_n1(battery_capacity=516.0)
+    assert events_of(log)[-3:] == ["ARRIVE", "DESCEND", "ABORT"]
+    assert log[-1].battery_remaining == 0.0
+    assert report.abort_reason == "battery depleted on leg 1"
+    assert report.releases == ()
+    assert len(report.energy.legs) == 1
+    assert report.energy.legs[0].distance_3d == pytest.approx(64.5, abs=1e-9)
+    assert report.energy.legs[0].energy == pytest.approx(516.0, abs=1e-9)
+    assert report.end_position == pytest.approx((30.0, 40.0, 13.5), abs=1e-9)
+    assert_telemetry_integrates_to_report(log, report)
+
+
+def test_abort_during_final_landing():
+    # The landing descent from 21 m is the last 42 J of the 1645.7 J mission.
+    log, report = fly_n1(battery_capacity=1620.0)
+    events = events_of(log)
+    assert events[-3:] == ["ARRIVE", "DESCEND", "ABORT"]
+    assert "LAND" not in events
+    assert report.abort_reason == "battery depleted on leg 4"
+    assert [pid for pid, _, _ in report.releases] == ["p1", "p2", "p3"]
+    legs = report.energy.legs
+    assert len(legs) == 4
+    assert legs[3].energy == pytest.approx(1620.0 - sum(leg.energy for leg in legs[:3]),
+                                           abs=1e-9)
+    x, y, z = report.end_position
+    assert (x, y) == pytest.approx((0.0, 0.0), abs=1e-9)
+    assert 0.0 < z < 21.0
+    assert_telemetry_integrates_to_report(log, report)
+
+
+def test_a_package_released_twice_is_inconsistent(n1_network, n1_packages):
+    plan = plan_ndf(n1_network, "S", n1_packages[:1])
+    twice = dataclasses.replace(
+        plan, legs=(plan.legs[0], Leg(Path(("A",), 0.0), "p1"), plan.legs[-1]))
+    with pytest.raises(InconsistentAssignment, match="twice"):
+        simulate_mission(n1_network, twice, assign_levels(twice), DroneConfig(),
+                         StringRig(), n1_packages)
