@@ -93,8 +93,12 @@ class ScenarioSyntaxError(SkywayError):
     """The scenario document is not valid JSON at all."""
 
 
-class ValidationError(SkywayError):
-    """One or more scenario fields violate the schema; each entry carries a locator."""
+class ValidationError(SkywayError, ValueError):
+    """One or more fields break a rule; each entry starts with a locator.
+
+    A constructor names the field (``max_payload: must be > 0 (got 0.0)``); the
+    scenario parser puts the document path in front (``drone.max_payload: ...``).
+    """
 
     def __init__(self, violations):
         self.violations = tuple(violations)
@@ -103,3 +107,4 @@ class ValidationError(SkywayError):
 
 class InvalidParams(SkywayError):
     pass
+

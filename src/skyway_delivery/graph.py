@@ -8,6 +8,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import starmap
 from typing import Iterable
 
 from .errors import (
@@ -16,28 +17,36 @@ from .errors import (
     DuplicateSegment,
     NonFiniteLength,
     SelfLoopSegment,
+    SkywayError,
     UnknownEndpoint,
     UnknownNode,
     ZeroLengthSegment,
 )
+from .rules import check_fields, finite, non_empty, non_negative
 
 
 @dataclass(frozen=True)
 class Node:
-    """A rooftop take-off/landing point at ground coordinates (x, y)."""
+    """A rooftop take-off/landing point at ground coordinates (x, y).
+
+    A zero coordinate or height is stored as 0.0, never -0.0, so that every
+    position derived from the node prints the same.
+    """
 
     id: str
     x: float
     y: float
     rooftop_height: float = 0.0
 
+    RULES = (("id", non_empty), ("x", finite), ("y", finite),
+             ("rooftop_height", non_negative))
+
     def __post_init__(self):
-        if not self.id:
-            raise ValueError("node id must be a non-empty string")
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"node {self.id!r}: coordinates must be finite")
-        if not math.isfinite(self.rooftop_height) or self.rooftop_height < 0:
-            raise ValueError(f"node {self.id!r}: rooftop_height must be >= 0")
+        check_fields(self, self.RULES)
+        if not (self.x and self.y and self.rooftop_height):  # some field is 0.0 or -0.0
+            for name in ("x", "y", "rooftop_height"):
+                if getattr(self, name) == 0:
+                    object.__setattr__(self, name, 0.0)
 
 
 @dataclass(frozen=True)
@@ -72,48 +81,79 @@ class SkywayNetwork:
             raise UnknownNode(f"unknown node {node_id!r}") from None
 
 
-def build_network(node_specs: Iterable[tuple], segment_specs: Iterable[tuple[str, str]]) -> SkywayNetwork:
+def node_faults(index: int, node_id: str, known_ids) -> list[SkywayError]:
+    """The faults of node ``index`` given the ids of the nodes before it."""
+    if node_id in known_ids:
+        return [DuplicateNodeId(f"nodes[{index}].id: duplicate node id {node_id!r}")]
+    return []
+
+
+def segment_faults(index: int, a: str, b: str, known_ids,
+                   seen_pairs: set[tuple[str, str]]) -> list[SkywayError]:
+    """The faults of segment ``index`` between ``a`` and ``b``, in report order.
+
+    ``known_ids`` holds every node id; ``seen_pairs`` the (smaller, larger) id
+    pairs of the segments before this one, and gains this one's pair.
+    """
+    faults: list[SkywayError] = []
+    if a not in known_ids:
+        faults.append(UnknownEndpoint(f"segments[{index}].a: unknown node {a!r}"))
+    if b not in known_ids:
+        faults.append(UnknownEndpoint(f"segments[{index}].b: unknown node {b!r}"))
+    if a == b:
+        faults.append(SelfLoopSegment(f"segments[{index}]: self-loop at {a!r}"))
+        return faults
+    pair = (a, b) if a < b else (b, a)
+    if pair in seen_pairs:
+        faults.append(DuplicateSegment(
+            f"segments[{index}]: duplicate segment {pair[0]!r}-{pair[1]!r}"))
+    seen_pairs.add(pair)
+    return faults
+
+
+def build_network(node_specs: Iterable[Node | tuple],
+                  segment_specs: Iterable[tuple[str, str]]) -> SkywayNetwork:
     """Validate node/segment specs and assemble a connected network.
 
-    ``node_specs`` holds (id, x, y, rooftop_height) tuples, ``segment_specs``
-    (a, b) endpoint pairs. Raises DuplicateNodeId, UnknownEndpoint,
-    SelfLoopSegment, DuplicateSegment, ZeroLengthSegment, NonFiniteLength or
+    ``node_specs`` holds Node objects or (id, x, y, rooftop_height) tuples,
+    ``segment_specs`` (a, b) endpoint pairs. Raises the first fault that
+    ``node_faults`` or ``segment_faults`` finds (DuplicateNodeId,
+    UnknownEndpoint, SelfLoopSegment or DuplicateSegment, with a ``nodes[i]``
+    or ``segments[i]`` locator), then ZeroLengthSegment, NonFiniteLength or
     DisconnectedNetwork as appropriate.
     """
     nodes: dict[str, Node] = {}
-    for spec in node_specs:
-        node = Node(*spec)
-        if node.id in nodes:
-            raise DuplicateNodeId(f"duplicate node id {node.id!r}")
+    for i, spec in enumerate(node_specs):
+        node = spec if isinstance(spec, Node) else Node(*spec)
+        faults = node_faults(i, node.id, nodes)
+        if faults:
+            raise faults[0]
         nodes[node.id] = node
     if not nodes:
         raise ValueError("a network needs at least one node")
 
-    segments: list[Segment] = []
+    rows: list[tuple[str, str, float]] = []
     seen_pairs: set[tuple[str, str]] = set()
-    for a, b in segment_specs:
-        for endpoint in (a, b):
-            if endpoint not in nodes:
-                raise UnknownEndpoint(f"segment {a!r}-{b!r}: unknown endpoint {endpoint!r}")
-        if a == b:
-            raise SelfLoopSegment(f"segment {a!r}-{b!r} is a self-loop")
-        pair = (a, b) if a < b else (b, a)
-        if pair in seen_pairs:
-            raise DuplicateSegment(f"segment {pair[0]!r}-{pair[1]!r} appears more than once")
-        seen_pairs.add(pair)
-        length = math.dist((nodes[a].x, nodes[a].y), (nodes[b].x, nodes[b].y))
+    positions = {node.id: (node.x, node.y) for node in nodes.values()}
+    for i, (a, b) in enumerate(segment_specs):
+        faults = segment_faults(i, a, b, nodes, seen_pairs)
+        if faults:
+            raise faults[0]
+        length = math.dist(positions[a], positions[b])
         if length == 0.0:
             raise ZeroLengthSegment(f"segment {a!r}-{b!r} joins coincident positions")
         if length == math.inf:
             raise NonFiniteLength(f"segment {a!r}-{b!r} is too long: its length overflows")
-        segments.append(Segment(pair[0], pair[1], length))
-    segments.sort(key=lambda s: (s.a, s.b))
+        rows.append((a, b, length) if a < b else (b, a, length))
+    rows.sort()  # endpoint pairs are unique, so a length never decides the order
 
     neighbours: dict[str, list[tuple[str, float]]] = {nid: [] for nid in nodes}
-    for seg in segments:
-        neighbours[seg.a].append((seg.b, seg.length))
-        neighbours[seg.b].append((seg.a, seg.length))
-    adjacency = {nid: tuple(sorted(links)) for nid, links in neighbours.items()}
+    for a, b, length in rows:
+        neighbours[a].append((b, length))
+        neighbours[b].append((a, length))
+    # Each list is already sorted: the rows ending at n (a < n) come first, in
+    # order of a, then the rows starting at n, in order of b.
+    adjacency = {nid: tuple(links) for nid, links in neighbours.items()}
 
     first = next(iter(nodes))
     reached = {first}
@@ -126,7 +166,7 @@ def build_network(node_specs: Iterable[tuple], segment_specs: Iterable[tuple[str
     if len(reached) != len(nodes):
         raise DisconnectedNetwork(set(nodes) - reached)
 
-    return SkywayNetwork(nodes=nodes, segments=tuple(segments), adjacency=adjacency)
+    return SkywayNetwork(nodes=nodes, segments=tuple(starmap(Segment, rows)), adjacency=adjacency)
 
 
 def shortest_paths_from(network: SkywayNetwork, source: str) -> dict[str, Path]:

@@ -12,6 +12,7 @@ from .errors import (
     TooManyPackagesForExhaustive,
     UnknownDestination,
 )
+from .rules import check_fields, finite, non_empty, non_negative, positive
 from .graph import Path, SkywayNetwork, shortest_paths_from
 
 EXHAUSTIVE_PACKAGE_CAP = 9
@@ -23,11 +24,14 @@ class Package:
     mass: float
     destination: str
 
+    # mass has two rules so that a non-finite mass is reported before the
+    # destination and a mass <= 0 after it, the order scenario documents have
+    # always been reported in.
+    RULES = (("id", non_empty), ("mass", finite), ("destination", non_empty),
+             ("mass", positive))
+
     def __post_init__(self):
-        if not self.id:
-            raise ValueError("package id must be a non-empty string")
-        if not 0 < self.mass < math.inf:
-            raise ValueError(f"package {self.id!r}: mass must be finite and > 0")
+        check_fields(self, self.RULES)
 
 
 @dataclass(frozen=True)
@@ -42,13 +46,13 @@ class DroneConfig:
     base_rate: float = 2.0
     payload_rate: float = 1.0
 
+    RULES = (("frame_mass", non_negative), ("max_payload", positive),
+             ("battery_capacity", positive), ("cruise_speed", positive),
+             ("vertical_speed", positive), ("base_rate", positive),
+             ("payload_rate", positive))
+
     def __post_init__(self):
-        if not 0 <= self.frame_mass < math.inf:
-            raise ValueError("frame_mass must be finite and >= 0")
-        for name in ("max_payload", "battery_capacity", "cruise_speed",
-                     "vertical_speed", "base_rate", "payload_rate"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0")
+        check_fields(self, self.RULES)
 
 
 @dataclass(frozen=True)

@@ -12,23 +12,16 @@ import io
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 from .errors import InvalidParams, ScenarioSyntaxError, SkywayError, ValidationError
-from .graph import SkywayNetwork, build_network
+from .graph import Node, SkywayNetwork, build_network, node_faults, segment_faults
 from .planner import DroneConfig, Package
+from .rules import field_violations
 from .simulator import MissionReport, StringRig, TelemetryLog
 
 _TOP_KEYS = {"label", "source", "nodes", "segments", "drone", "rig", "packages"}
-_NODE_KEYS = {"id", "x", "y", "rooftop_height"}
 _SEGMENT_KEYS = {"a", "b"}
-_DRONE_FIELDS = ("frame_mass", "max_payload", "battery_capacity", "cruise_speed",
-                 "vertical_speed", "base_rate", "payload_rate")
-_DRONE_KEYS = set(_DRONE_FIELDS)
-_RIG_KEYS = {"levels", "clearance"}
-_PACKAGE_KEYS = {"id", "mass", "destination"}
-
-_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -41,46 +34,107 @@ class Scenario:
     label: str | None = None
 
 
-def _take_number(obj: dict, key: str, locator: str, problems: list[str],
-                 default=_MISSING) -> float | None:
-    if key not in obj:
-        if default is _MISSING:
-            problems.append(f"{locator}.{key}: missing")
-            return None
-        return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        problems.append(f"{locator}.{key}: expected a number, got {type(value).__name__}")
-        return None
-    value = float(value)
-    if not math.isfinite(value):
-        problems.append(f"{locator}.{key}: must be finite")
-        return None
+class _ShapeFault(Exception):
+    """A JSON value has the wrong type for its field."""
+
+
+# JSON gives numbers as int or float; type(True) is bool, so a bool is not one.
+_NUMBER_TYPES = (float, int)
+
+
+def _string(value) -> str:
+    if type(value) is not str or not value:
+        raise _ShapeFault("expected a non-empty string")
     return value
 
 
-def _take_string(obj: dict, key: str, locator: str, problems: list[str]) -> str | None:
+def _number(value) -> float:
+    if type(value) not in _NUMBER_TYPES:
+        raise _ShapeFault(f"expected a number, got {type(value).__name__}")
+    return float(value)
+
+
+def _hangs(value) -> tuple[float, ...]:
+    if type(value) is not list:
+        raise _ShapeFault("expected a list of hang lengths")
+    # A hang that is not a number reads as NaN, which StringRig reports at its
+    # index like any other hang that is not a positive number.
+    return tuple(float(hang) if type(hang) in _NUMBER_TYPES else math.nan for hang in value)
+
+
+# Field name, shape check and default of each constructor argument, read from
+# the dataclass annotations (strings under ``from __future__ import annotations``).
+_SHAPES = {"str": _string, "float": _number, "tuple[float, ...]": _hangs}
+_FIELDS = {cls: {f.name: (_SHAPES[f.type], f.default) for f in fields(cls)}
+           for cls in (Node, DroneConfig, StringRig, Package)}
+
+
+def _take(obj: dict, key: str, shape, locator: str, problems: list[str]):
     if key not in obj:
         problems.append(f"{locator}.{key}: missing")
         return None
-    value = obj[key]
-    if not isinstance(value, str) or not value:
-        problems.append(f"{locator}.{key}: expected a non-empty string")
+    try:
+        return shape(obj[key])
+    except _ShapeFault as fault:
+        problems.append(f"{locator}.{key}: {fault}")
         return None
-    return value
 
 
-def _reject_unknown(obj: dict, allowed: set[str], locator: str, problems: list[str]) -> None:
+def _reject_unknown(obj: dict, allowed, locator: str, problems: list[str]) -> None:
     for key in obj:
         if key not in allowed:
             problems.append(f"{locator}.{key}: unknown key")
+
+
+def _block(doc: dict, key: str, problems: list[str]) -> dict:
+    """The optional object ``doc[key]``; {} when it is absent or not an object."""
+    raw = doc.get(key, {})
+    if not isinstance(raw, dict):
+        problems.append(f"{key}: expected an object")
+        return {}
+    return raw
+
+
+def _build(cls, raw: dict, locator: str, problems: list[str]):
+    """Shape-check ``raw`` against the fields of ``cls`` and construct it.
+
+    Returns the object, or None when a field is missing, has the wrong type
+    or breaks one of the class's rules, plus the well-typed field values.
+    Shape faults and rule violations go to ``problems`` in the class's rule
+    order, each behind ``locator``.
+    """
+    shapes = _FIELDS[cls]
+    _reject_unknown(raw, shapes, locator, problems)
+    values: dict = {}
+    faults: dict[str, str] = {}
+    for name, (shape, default) in shapes.items():
+        if name in raw:
+            try:
+                values[name] = shape(raw[name])
+            except _ShapeFault as fault:
+                faults[name] = f"{name}: {fault}"
+        elif default is MISSING:
+            faults[name] = f"{name}: missing"
+        else:
+            values[name] = default
+    if faults:
+        violations = field_violations(cls.RULES, values, faults)
+    else:
+        try:
+            return cls(*values.values()), values
+        except ValidationError as exc:
+            violations = exc.violations
+    problems.extend(f"{locator}.{violation}" for violation in violations)
+    return None, values
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and fully validate a scenario JSON document.
 
     Raises ScenarioSyntaxError for malformed JSON and ValidationError (with
-    one locator-bearing entry per problem) for anything schema-level.
+    one locator-bearing entry per problem) for anything schema-level. The
+    parser checks the document's shape; the value rules are the ones the
+    constructors and ``build_network`` apply, collected for every item.
     """
     try:
         doc = json.loads(text)
@@ -97,34 +151,27 @@ def parse_scenario(text: str) -> Scenario:
         problems.append("label: expected a string")
         label = None
 
-    source = _take_string(doc, "source", "document", problems)
+    source = _take(doc, "source", _string, "document", problems)
 
     # -- nodes ---------------------------------------------------------------
-    node_specs: list[tuple[str, float, float, float]] = []
+    nodes: list[Node] = []
     node_ids: set[str] = set()
     raw_nodes = doc.get("nodes")
     if not isinstance(raw_nodes, list) or not raw_nodes:
         problems.append("nodes: expected a non-empty list")
         raw_nodes = []
     for i, raw in enumerate(raw_nodes):
-        locator = f"nodes[{i}]"
         if not isinstance(raw, dict):
-            problems.append(f"{locator}: expected an object")
+            problems.append(f"nodes[{i}]: expected an object")
             continue
-        _reject_unknown(raw, _NODE_KEYS, locator, problems)
-        node_id = _take_string(raw, "id", locator, problems)
-        x = _take_number(raw, "x", locator, problems)
-        y = _take_number(raw, "y", locator, problems)
-        height = _take_number(raw, "rooftop_height", locator, problems, default=0.0)
-        if height is not None and height < 0:
-            problems.append(f"{locator}.rooftop_height: must be >= 0 (got {height})")
-            height = None
+        node, values = _build(Node, raw, f"nodes[{i}]", problems)
+        node_id = values.get("id")
         if node_id is not None:
-            if node_id in node_ids:
-                problems.append(f"{locator}.id: duplicate node id {node_id!r}")
+            for fault in node_faults(i, node_id, node_ids):
+                problems.append(str(fault))
             node_ids.add(node_id)
-        if None not in (node_id, x, y, height):
-            node_specs.append((node_id, x, y, height))
+        if node is not None:
+            nodes.append(node)
 
     # -- segments ------------------------------------------------------------
     segment_specs: list[tuple[str, str]] = []
@@ -139,84 +186,19 @@ def parse_scenario(text: str) -> Scenario:
             problems.append(f"{locator}: expected an object")
             continue
         _reject_unknown(raw, _SEGMENT_KEYS, locator, problems)
-        a = _take_string(raw, "a", locator, problems)
-        b = _take_string(raw, "b", locator, problems)
+        a = _take(raw, "a", _string, locator, problems)
+        b = _take(raw, "b", _string, locator, problems)
         if a is None or b is None:
             continue
-        for end_key, endpoint in (("a", a), ("b", b)):
-            if endpoint not in node_ids:
-                problems.append(f"{locator}.{end_key}: unknown node {endpoint!r}")
-        if a == b:
-            problems.append(f"{locator}: self-loop at {a!r}")
-            continue
-        pair = (a, b) if a < b else (b, a)
-        if pair in seen_pairs:
-            problems.append(f"{locator}: duplicate segment {pair[0]!r}-{pair[1]!r}")
-            continue
-        seen_pairs.add(pair)
-        if a in node_ids and b in node_ids:
+        faults = segment_faults(i, a, b, node_ids, seen_pairs)
+        if faults:
+            problems.extend(map(str, faults))
+        else:
             segment_specs.append((a, b))
 
-    # -- drone ---------------------------------------------------------------
-    raw_drone = doc.get("drone", {})
-    if not isinstance(raw_drone, dict):
-        problems.append("drone: expected an object")
-        raw_drone = {}
-    _reject_unknown(raw_drone, _DRONE_KEYS, "drone", problems)
-    defaults = DroneConfig()
-    drone_fields: dict[str, float] = {}
-    for name in _DRONE_FIELDS:
-        value = _take_number(raw_drone, name, "drone", problems,
-                             default=getattr(defaults, name))
-        if value is None:
-            continue
-        minimum_ok = value >= 0 if name == "frame_mass" else value > 0
-        if not minimum_ok:
-            bound = ">= 0" if name == "frame_mass" else "> 0"
-            problems.append(f"drone.{name}: must be {bound} (got {value})")
-            continue
-        drone_fields[name] = value
-    drone = DroneConfig(**drone_fields) if len(drone_fields) == len(_DRONE_FIELDS) else None
-
-    # -- rig -----------------------------------------------------------------
-    raw_rig = doc.get("rig", {})
-    if not isinstance(raw_rig, dict):
-        problems.append("rig: expected an object")
-        raw_rig = {}
-    _reject_unknown(raw_rig, _RIG_KEYS, "rig", problems)
-    default_rig = StringRig()
-    clearance = _take_number(raw_rig, "clearance", "rig", problems,
-                             default=default_rig.clearance)
-    if clearance is not None and not clearance > 0:
-        problems.append(f"rig.clearance: must be > 0 (got {clearance})")
-        clearance = None
-    levels: list[float] | None
-    if "levels" in raw_rig:
-        raw_levels = raw_rig["levels"]
-        levels = []
-        if not isinstance(raw_levels, list):
-            problems.append("rig.levels: expected a list of hang lengths")
-            levels = None
-        else:
-            for i, hang in enumerate(raw_levels):
-                if isinstance(hang, bool) or not isinstance(hang, (int, float)) \
-                        or not math.isfinite(float(hang)) or not float(hang) > 0:
-                    problems.append(f"rig.levels[{i}]: expected a positive number")
-                    levels = None
-                    break
-                levels.append(float(hang))
-        if levels is not None:
-            for i in range(1, len(levels)):
-                if not levels[i - 1] > levels[i]:
-                    problems.append(
-                        f"rig.levels[{i}]: hang lengths must strictly decrease "
-                        f"from level 1 up")
-                    levels = None
-                    break
-    else:
-        levels = list(default_rig.levels)
-    rig = StringRig(tuple(levels), clearance) \
-        if levels is not None and clearance is not None else None
+    # -- drone and rig -------------------------------------------------------
+    drone, _ = _build(DroneConfig, _block(doc, "drone", problems), "drone", problems)
+    rig, _ = _build(StringRig, _block(doc, "rig", problems), "rig", problems)
 
     # -- packages ------------------------------------------------------------
     packages: list[Package] = []
@@ -230,24 +212,20 @@ def parse_scenario(text: str) -> Scenario:
         if not isinstance(raw, dict):
             problems.append(f"{locator}: expected an object")
             continue
-        _reject_unknown(raw, _PACKAGE_KEYS, locator, problems)
-        package_id = _take_string(raw, "id", locator, problems)
-        mass = _take_number(raw, "mass", locator, problems)
-        destination = _take_string(raw, "destination", locator, problems)
-        if mass is not None and not mass > 0:
-            problems.append(f"{locator}.mass: must be > 0 (got {mass})")
-            mass = None
+        package, values = _build(Package, raw, locator, problems)
+        package_id = values.get("id")
         if package_id is not None:
             if package_id in package_ids:
                 problems.append(f"{locator}.id: duplicate package id {package_id!r}")
             package_ids.add(package_id)
+        destination = values.get("destination")
         if destination is not None:
             if destination not in node_ids:
                 problems.append(f"{locator}.destination: unknown node {destination!r}")
             elif source is not None and destination == source:
                 problems.append(f"{locator}.destination: must differ from the source")
-        if None not in (package_id, mass, destination):
-            packages.append(Package(package_id, mass, destination))
+        if package is not None:
+            packages.append(package)
 
     if source is not None and node_ids and source not in node_ids:
         problems.append(f"source: unknown node {source!r}")
@@ -256,19 +234,15 @@ def parse_scenario(text: str) -> Scenario:
             f"packages: {len(raw_packages)} packages exceed the rig's "
             f"{rig.level_count} hanging levels")
 
-    network = None
-    if not problems and node_specs:
-        try:
-            network = build_network(node_specs, segment_specs)
-        except SkywayError as exc:
-            # Whole-network faults without a single field to point at, e.g.
-            # a disconnected graph or coincident node positions.
-            problems.append(f"network: {exc}")
-
     if problems:
         raise ValidationError(problems)
-    assert network is not None and source is not None
-    assert drone is not None and rig is not None
+    try:
+        network = build_network(nodes, segment_specs)
+    except SkywayError as exc:
+        # Whole-network faults without a single field to point at, e.g.
+        # a disconnected graph or coincident node positions.
+        raise ValidationError([f"network: {exc}"]) from exc
+    assert source is not None and drone is not None and rig is not None
     return Scenario(network=network, source=source, drone=drone, rig=rig,
                     packages=tuple(packages), label=label)
 
@@ -284,20 +258,9 @@ def serialize_scenario(scenario: Scenario) -> str:
         for node in sorted(scenario.network.nodes.values(), key=lambda n: n.id)
     ]
     doc["segments"] = [{"a": seg.a, "b": seg.b} for seg in scenario.network.segments]
-    doc["drone"] = {
-        "frame_mass": scenario.drone.frame_mass,
-        "max_payload": scenario.drone.max_payload,
-        "battery_capacity": scenario.drone.battery_capacity,
-        "cruise_speed": scenario.drone.cruise_speed,
-        "vertical_speed": scenario.drone.vertical_speed,
-        "base_rate": scenario.drone.base_rate,
-        "payload_rate": scenario.drone.payload_rate,
-    }
-    doc["rig"] = {"levels": list(scenario.rig.levels), "clearance": scenario.rig.clearance}
-    doc["packages"] = [
-        {"id": p.id, "mass": p.mass, "destination": p.destination}
-        for p in scenario.packages
-    ]
+    doc["drone"] = asdict(scenario.drone)
+    doc["rig"] = asdict(scenario.rig)
+    doc["packages"] = [asdict(package) for package in scenario.packages]
     return json.dumps(doc, indent=2) + "\n"
 
 

@@ -16,6 +16,7 @@ from .errors import BatteryDepleted, InconsistentAssignment, InvalidLevel, NonFi
 from .graph import Path, SkywayNetwork
 from .planner import (DroneConfig, HangingAssignment, MissionPlan, Package, assign_levels,
                       plan_ndf, plan_optimal, plan_total_distance)
+from .rules import check_fields, positive
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -25,27 +26,34 @@ DEFAULT_TELEMETRY_STEP = 0.1  # seconds between interval samples
 _BOUNDARY_EPS = 1e-9          # samples this close to a phase edge are dropped
 
 
+def _hang_lengths(name, levels):
+    """Field rule: every hang finite and > 0, then strictly decreasing."""
+    for i, hang in enumerate(levels):
+        if not 0 < hang < math.inf:
+            return f"{name}[{i}]: expected a positive number"
+    for i in range(1, len(levels)):
+        if not levels[i - 1] > levels[i]:
+            return f"{name}[{i}]: hang lengths must strictly decrease from level 1 up"
+    return None
+
+
 @dataclass(frozen=True)
 class StringRig:
     """Hanging string taped at fixed levels; level 1 hangs lowest.
 
     ``levels[i]`` is how far level i+1 hangs below the drone, so the tuple is
-    strictly decreasing and positive.
+    strictly decreasing and positive. A bad clearance is reported before bad
+    levels.
     """
 
     levels: tuple[float, ...] = (3.0, 2.0, 1.0)
     clearance: float = 1.0
 
+    RULES = (("clearance", positive), ("levels", _hang_lengths))
+
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
-        for hang in self.levels:
-            if not 0 < hang < math.inf:
-                raise ValueError("every hang length must be finite and > 0")
-        for below, above in zip(self.levels, self.levels[1:]):
-            if not below > above:
-                raise ValueError("hang lengths must strictly decrease from level 1 up")
-        if not 0 < self.clearance < math.inf:
-            raise ValueError("clearance must be finite and > 0")
+        check_fields(self, self.RULES)
 
     @property
     def level_count(self) -> int:

@@ -238,3 +238,24 @@ def test_compare_strategies_is_library_code():
     assert skyway_delivery.compare_strategies is simulator.compare_strategies
     assert cli.CompareResult is simulator.CompareResult
     assert cli.StrategyOutcome is simulator.StrategyOutcome
+
+
+def test_negative_zero_prints_as_zero(capsys, tmp_path):
+    doc = {
+        "source": "A",
+        "nodes": [{"id": "A", "x": -0.0, "y": 0.0, "rooftop_height": -0.0},
+                  {"id": "B", "x": 30.0, "y": 0.0, "rooftop_height": 5.0}],
+        "segments": [{"a": "A", "b": "B"}],
+        "packages": [{"id": "p", "mass": 1.0, "destination": "B"}],
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    telemetry = tmp_path / "telemetry.csv"
+    report = tmp_path / "report.json"
+    code, out, _ = run_cli(capsys, "run", str(path),
+                           "--telemetry", str(telemetry), "--report", str(report))
+    assert code == 0
+    assert "end position: (0.000, 0.000, 0.000)" in out
+    for text in (out, telemetry.read_text(), report.read_text(),
+                 serialize_scenario(parse_scenario(path.read_text()))):
+        assert "-0.0" not in text

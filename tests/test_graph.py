@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import helpers
-from skyway_delivery import build_network, shortest_path, shortest_paths_from
+from skyway_delivery import Node, build_network, shortest_path, shortest_paths_from
 from skyway_delivery.errors import (
     DisconnectedNetwork,
     DuplicateNodeId,
@@ -168,3 +168,23 @@ def test_overflowing_segment_length_rejected():
     # Both coordinates are finite, but the distance between them is not.
     with pytest.raises(NonFiniteLength):
         build_network([("W", -1e308, 0.0, 0.0), ("E", 1e308, 0.0, 0.0)], [("W", "E")])
+
+
+def test_topology_errors_carry_item_locators():
+    specs = [("u", 0.0, 0.0, 0.0), ("v", 1.0, 0.0, 0.0)]
+    with pytest.raises(DuplicateNodeId, match=r"^nodes\[1\]\.id: duplicate node id 'u'$"):
+        build_network([specs[0], ("u", 1.0, 0.0, 0.0)], [])
+    with pytest.raises(UnknownEndpoint, match=r"^segments\[1\]\.b: unknown node 'ghost'$"):
+        build_network(specs, [("u", "v"), ("u", "ghost")])
+    with pytest.raises(SelfLoopSegment, match=r"^segments\[0\]: self-loop at 'v'$"):
+        build_network(specs, [("v", "v")])
+    with pytest.raises(DuplicateSegment, match=r"^segments\[1\]: duplicate segment 'u'-'v'$"):
+        build_network(specs, [("u", "v"), ("v", "u")])
+
+
+def test_build_network_accepts_node_objects():
+    nodes = [Node("u", 0.0, 0.0, 2.0), Node("v", 3.0, 4.0)]
+    from_nodes = build_network(nodes, [("u", "v")])
+    assert from_nodes == build_network([("u", 0.0, 0.0, 2.0), ("v", 3.0, 4.0, 0.0)],
+                                       [("u", "v")])
+    assert from_nodes.node("u") is nodes[0]

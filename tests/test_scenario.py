@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 
 import pytest
 
@@ -323,3 +324,161 @@ def test_overflowing_segment_reported_as_whole_network_fault():
         {"id": "S", "x": -1e308, "y": 0}, {"id": "T", "x": 1e308, "y": 0}]))
     assert len(problems) == 1
     assert problems[0].startswith("network:")
+
+
+# -- pinned violation lists ---------------------------------------------------
+# Each malformed document with its exact ValidationError.violations, text and
+# order, as the parser reported them before the value rules moved into the
+# constructors. The cases mix faults inside one object on purpose: type and
+# value faults, several bad drone fields, bad rig clearance and levels.
+
+NAN, INF = math.nan, math.inf
+NODE_S = {"id": "S", "x": 0, "y": 0}
+NODE_T = {"id": "T", "x": 10, "y": 0}
+SEG_ST = {"a": "S", "b": "T"}
+
+
+def _package(package_id="p", mass=1, destination="T"):
+    return {"id": package_id, "mass": mass, "destination": destination}
+
+
+PINNED_VIOLATIONS = [
+    ("raw_1e999_rooftop",
+     '{"source": "S", "nodes": [{"id": "S", "x": 0, "y": 0, "rooftop_height": 1e999}]}',
+     ["nodes[0].rooftop_height: must be finite"]),
+    ("raw_nan_coordinate_and_mass",
+     '{"source": "S", "nodes": [{"id": "S", "x": NaN, "y": 0}, {"id": "T", "x": 1, "y": 0}],'
+     ' "segments": [{"a": "S", "b": "T"}],'
+     ' "packages": [{"id": "p", "mass": -Infinity, "destination": "T"}]}',
+     ["nodes[0].x: must be finite", "packages[0].mass: must be finite"]),
+    ("node_type_then_value", doc(nodes=[{"id": "S", "x": "far", "y": INF}, NODE_T]),
+     ["nodes[0].x: expected a number, got str", "nodes[0].y: must be finite"]),
+    ("node_value_then_type", doc(nodes=[{"id": "S", "x": NAN, "y": "0"}, NODE_T]),
+     ["nodes[0].x: must be finite", "nodes[0].y: expected a number, got str"]),
+    ("node_bool_and_negative_rooftop",
+     doc(nodes=[{"id": "S", "x": True, "y": 0, "rooftop_height": -1}, NODE_T]),
+     ["nodes[0].x: expected a number, got bool",
+      "nodes[0].rooftop_height: must be >= 0 (got -1.0)"]),
+    ("node_empty_id", doc(nodes=[NODE_S, {"id": "", "x": 10, "y": 0}]),
+     ["nodes[1].id: expected a non-empty string", "segments[0].b: unknown node 'T'"]),
+    ("node_numeric_id", doc(nodes=[NODE_S, {"id": 7, "x": 10, "y": 0}]),
+     ["nodes[1].id: expected a non-empty string", "segments[0].b: unknown node 'T'"]),
+    ("node_missing_coords_and_unknown_key", doc(nodes=[NODE_S, {"id": "T", "z": 1}]),
+     ["nodes[1].z: unknown key", "nodes[1].x: missing", "nodes[1].y: missing"]),
+    ("nodes_not_a_list", doc(nodes={"S": NODE_S}),
+     ["nodes: expected a non-empty list", "segments[0].a: unknown node 'S'",
+      "segments[0].b: unknown node 'T'"]),
+    ("nodes_empty", doc(nodes=[], segments=[]),
+     ["nodes: expected a non-empty list"]),
+    ("node_not_an_object", doc(nodes=[NODE_S, 3]),
+     ["nodes[1]: expected an object", "segments[0].b: unknown node 'T'"]),
+    ("node_duplicate_id", doc(nodes=[NODE_S, NODE_T, {"id": "S", "x": 5, "y": 5}]),
+     ["nodes[2].id: duplicate node id 'S'"]),
+    ("node_bad_coords_still_known_to_segments",
+     doc(nodes=[NODE_S, {"id": "T", "x": INF, "y": 0}]),
+     ["nodes[1].x: must be finite"]),
+    ("segment_both_endpoints_unknown", doc(segments=[SEG_ST, {"a": "U", "b": "V"}]),
+     ["segments[1].a: unknown node 'U'", "segments[1].b: unknown node 'V'"]),
+    ("segment_self_loop_on_unknown_node", doc(segments=[SEG_ST, {"a": "Q", "b": "Q"}]),
+     ["segments[1].a: unknown node 'Q'", "segments[1].b: unknown node 'Q'",
+      "segments[1]: self-loop at 'Q'"]),
+    ("segment_duplicate_reversed", doc(segments=[SEG_ST, {"a": "T", "b": "S"}]),
+     ["segments[1]: duplicate segment 'S'-'T'"]),
+    ("segment_duplicate_with_unknown_endpoint",
+     doc(segments=[SEG_ST, {"a": "S", "b": "X"}, {"a": "X", "b": "S"}]),
+     ["segments[1].b: unknown node 'X'", "segments[2].a: unknown node 'X'",
+      "segments[2]: duplicate segment 'S'-'X'"]),
+    ("segment_empty_endpoint", doc(segments=[{"a": "", "b": "T"}]),
+     ["segments[0].a: expected a non-empty string"]),
+    ("segments_not_a_list", doc(segments="S-T"),
+     ["segments: expected a list"]),
+    ("segment_not_an_object", doc(segments=[SEG_ST, ["S", "T"]]),
+     ["segments[1]: expected an object"]),
+    ("segment_unknown_key_and_missing_end", doc(segments=[{"a": "S", "c": "T"}]),
+     ["segments[0].c: unknown key", "segments[0].b: missing"]),
+    ("rig_clearance_and_levels_bad", doc(rig={"clearance": 0, "levels": [2.0, 3.0]}),
+     ["rig.clearance: must be > 0 (got 0.0)",
+      "rig.levels[1]: hang lengths must strictly decrease from level 1 up"]),
+    ("rig_nan_clearance_and_levels_not_a_list",
+     doc(rig={"clearance": NAN, "levels": "3,2,1"}),
+     ["rig.clearance: must be finite", "rig.levels: expected a list of hang lengths"]),
+    ("rig_levels_bool_then_negative", doc(rig={"levels": [True, -1]}),
+     ["rig.levels[0]: expected a positive number"]),
+    ("rig_levels_negative_then_string", doc(rig={"levels": [3.0, -1.0, "x"]}),
+     ["rig.levels[1]: expected a positive number"]),
+    ("rig_levels_rising_then_string", doc(rig={"levels": [2.0, 3.0, "x"]}),
+     ["rig.levels[2]: expected a positive number"]),
+    ("rig_levels_infinite", doc(rig={"levels": [INF, 1.0]}),
+     ["rig.levels[0]: expected a positive number"]),
+    ("rig_levels_zero", doc(rig={"levels": [1.0, 0]}),
+     ["rig.levels[1]: expected a positive number"]),
+    ("rig_not_an_object", doc(rig=[3.0, 2.0]),
+     ["rig: expected an object"]),
+    ("rig_unknown_key_and_string_clearance", doc(rig={"clearance": "1", "hooks": 3}),
+     ["rig.hooks: unknown key", "rig.clearance: expected a number, got str"]),
+    ("rig_empty_levels_with_a_package", doc(rig={"levels": []}, packages=[_package()]),
+     ["packages: 1 packages exceed the rig's 0 hanging levels"]),
+    ("drone_several_bad_fields",
+     doc(drone={"frame_mass": -1, "max_payload": "x", "battery_capacity": 0,
+                "cruise_speed": NAN, "vertical_speed": INF, "base_rate": -0.0,
+                "payload_rate": True}),
+     ["drone.frame_mass: must be >= 0 (got -1.0)",
+      "drone.max_payload: expected a number, got str",
+      "drone.battery_capacity: must be > 0 (got 0.0)",
+      "drone.cruise_speed: must be finite",
+      "drone.vertical_speed: must be finite",
+      "drone.base_rate: must be > 0 (got -0.0)",
+      "drone.payload_rate: expected a number, got bool"]),
+    ("drone_value_fault_before_type_fault",
+     doc(drone={"frame_mass": -0.5, "cruise_speed": None}),
+     ["drone.frame_mass: must be >= 0 (got -0.5)",
+      "drone.cruise_speed: expected a number, got NoneType"]),
+    ("drone_unknown_key_and_negative_infinity", doc(drone={"wind": 3, "payload_rate": -INF}),
+     ["drone.wind: unknown key", "drone.payload_rate: must be finite"]),
+    ("drone_not_an_object", doc(drone=5),
+     ["drone: expected an object"]),
+    ("package_bad_mass_and_destination", doc(packages=[_package(mass=-1, destination=5)]),
+     ["packages[0].destination: expected a non-empty string",
+      "packages[0].mass: must be > 0 (got -1.0)"]),
+    ("package_infinite_mass_and_bad_destination",
+     doc(packages=[_package(mass=INF, destination=5)]),
+     ["packages[0].mass: must be finite",
+      "packages[0].destination: expected a non-empty string"]),
+    ("package_empty_id_and_destination", doc(packages=[_package("", destination="")]),
+     ["packages[0].id: expected a non-empty string",
+      "packages[0].destination: expected a non-empty string"]),
+    ("package_string_mass_unknown_destination",
+     doc(packages=[_package(mass="1", destination="ghost")]),
+     ["packages[0].mass: expected a number, got str",
+      "packages[0].destination: unknown node 'ghost'"]),
+    ("package_duplicate_id_and_source_destination",
+     doc(packages=[_package(), _package(mass=0, destination="S")]),
+     ["packages[1].mass: must be > 0 (got 0.0)",
+      "packages[1].id: duplicate package id 'p'",
+      "packages[1].destination: must differ from the source"]),
+    ("packages_not_a_list", doc(packages={"id": "p"}),
+     ["packages: expected a list"]),
+    ("too_many_packages_and_one_bad",
+     doc(packages=[_package(f"p{i}", mass=1 - i) for i in range(4)]),
+     ["packages[1].mass: must be > 0 (got 0.0)",
+      "packages[2].mass: must be > 0 (got -1.0)",
+      "packages[3].mass: must be > 0 (got -2.0)",
+      "packages: 4 packages exceed the rig's 3 hanging levels"]),
+    ("source_empty_and_label_number", doc(source="", label=3),
+     ["label: expected a string", "document.source: expected a non-empty string"]),
+    ("source_unknown_with_unknown_top_key", doc(source="X", wind=1),
+     ["document.wind: unknown key", "source: unknown node 'X'"]),
+    ("network_fault_hidden_by_field_fault", doc(segments=[], drone={"base_rate": 0}),
+     ["drone.base_rate: must be > 0 (got 0.0)"]),
+    ("disconnected_network", doc(nodes=[NODE_S, NODE_T, {"id": "U", "x": 3, "y": 3}]),
+     ["network: network is disconnected; unreachable nodes: U"]),
+    ("coincident_nodes", doc(nodes=[NODE_S, {"id": "T", "x": -0.0, "y": 0}]),
+     ["network: segment 'S'-'T' joins coincident positions"]),
+]
+
+
+@pytest.mark.parametrize("text, expected",
+                         [case[1:] for case in PINNED_VIOLATIONS],
+                         ids=[case[0] for case in PINNED_VIOLATIONS])
+def test_pinned_violation_lists(text, expected):
+    assert violations_of(text) == expected
