@@ -25,6 +25,7 @@ from .graph import (
     build_network,
     shortest_path,
     shortest_paths_from,
+    stop_matrix,
 )
 from .planner import (
     EXHAUSTIVE_PACKAGE_CAP,
@@ -36,6 +37,7 @@ from .planner import (
     Package,
     assign_levels,
     check_feasibility,
+    optimal_order,
     plan_ndf,
     plan_optimal,
     plan_total_distance,
@@ -101,6 +103,7 @@ __all__ = [
     "export_telemetry",
     "generate_scenario",
     "leg_energy",
+    "optimal_order",
     "parse_scenario",
     "plan_ndf",
     "plan_optimal",
@@ -111,4 +114,5 @@ __all__ = [
     "shortest_path",
     "shortest_paths_from",
     "simulate_mission",
+    "stop_matrix",
 ]

@@ -169,13 +169,20 @@ def build_network(node_specs: Iterable[Node | tuple],
     return SkywayNetwork(nodes=nodes, segments=tuple(starmap(Segment, rows)), adjacency=adjacency)
 
 
-def shortest_paths_from(network: SkywayNetwork, source: str) -> dict[str, Path]:
-    """Dijkstra from ``source`` to every node.
+def shortest_paths_from(network: SkywayNetwork, source: str,
+                        targets: Iterable[str] | None = None) -> dict[str, Path]:
+    """Dijkstra from ``source``: the shortest path to every node it settles.
 
     Heap entries carry the full node sequence so that equal-length paths
-    resolve to the lexicographically smallest sequence.
+    resolve to the lexicographically smallest sequence. With ``targets`` the
+    search stops once every target is settled; a settled path is final, so
+    each returned path is the one a full run would give. Without it, every
+    node is settled. Raises UnknownNode for an unknown source or target.
     """
     network.node(source)
+    pending = None if targets is None else set(targets)
+    for target in pending or ():
+        network.node(target)
     best: dict[str, Path] = {}
     heap: list[tuple[float, tuple[str, ...]]] = [(0.0, (source,))]
     while heap:
@@ -184,13 +191,29 @@ def shortest_paths_from(network: SkywayNetwork, source: str) -> dict[str, Path]:
         if tail in best:
             continue
         best[tail] = Path(walk, dist)
+        if pending is not None:
+            pending.discard(tail)
+            if not pending:
+                break
         for neighbour, length in network.adjacency[tail]:
             if neighbour not in best:
                 heapq.heappush(heap, (dist + length, walk + (neighbour,)))
     return best
 
 
+def stop_matrix(network: SkywayNetwork, stops: Iterable[str]) -> dict[str, dict[str, Path]]:
+    """Shortest paths between every pair of ``stops``: ``matrix[a][b]`` runs a to b.
+
+    One Dijkstra per distinct stop, each ending once every stop is settled.
+    """
+    distinct = sorted(set(stops))
+    matrix = {}
+    for stop in distinct:
+        paths = shortest_paths_from(network, stop, distinct)
+        matrix[stop] = {other: paths[other] for other in distinct}
+    return matrix
+
+
 def shortest_path(network: SkywayNetwork, start: str, goal: str) -> Path:
     """Minimum-length path between two nodes (ties broken lexicographically)."""
-    network.node(goal)
-    return shortest_paths_from(network, start)[goal]
+    return shortest_paths_from(network, start, (goal,))[goal]

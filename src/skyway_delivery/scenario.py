@@ -16,7 +16,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 
 from .errors import InvalidParams, ScenarioSyntaxError, SkywayError, ValidationError
 from .graph import Node, SkywayNetwork, build_network, node_faults, segment_faults
-from .planner import DroneConfig, Package
+from .planner import DroneConfig, Package, package_faults
 from .rules import field_violations
 from .simulator import MissionReport, StringRig, TelemetryLog
 
@@ -48,10 +48,22 @@ def _string(value) -> str:
     return value
 
 
+def _float(value: float | int) -> float:
+    """The JSON number as a float.
+
+    An integer too large for a float reads as ±inf, as the literal 1e999
+    does, so the field's rules report it at the field's locator.
+    """
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _number(value) -> float:
     if type(value) not in _NUMBER_TYPES:
         raise _ShapeFault(f"expected a number, got {type(value).__name__}")
-    return float(value)
+    return _float(value)
 
 
 def _hangs(value) -> tuple[float, ...]:
@@ -59,7 +71,7 @@ def _hangs(value) -> tuple[float, ...]:
         raise _ShapeFault("expected a list of hang lengths")
     # A hang that is not a number reads as NaN, which StringRig reports at its
     # index like any other hang that is not a positive number.
-    return tuple(float(hang) if type(hang) in _NUMBER_TYPES else math.nan for hang in value)
+    return tuple(_float(hang) if type(hang) in _NUMBER_TYPES else math.nan for hang in value)
 
 
 # Field name, shape check and default of each constructor argument, read from
@@ -138,7 +150,9 @@ def parse_scenario(text: str) -> Scenario:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # A JSONDecodeError, or an integer literal longer than the
+        # interpreter's digit limit for int conversion.
         raise ScenarioSyntaxError(f"invalid JSON: {exc}") from exc
 
     problems: list[str] = []
@@ -213,17 +227,8 @@ def parse_scenario(text: str) -> Scenario:
             problems.append(f"{locator}: expected an object")
             continue
         package, values = _build(Package, raw, locator, problems)
-        package_id = values.get("id")
-        if package_id is not None:
-            if package_id in package_ids:
-                problems.append(f"{locator}.id: duplicate package id {package_id!r}")
-            package_ids.add(package_id)
-        destination = values.get("destination")
-        if destination is not None:
-            if destination not in node_ids:
-                problems.append(f"{locator}.destination: unknown node {destination!r}")
-            elif source is not None and destination == source:
-                problems.append(f"{locator}.destination: must differ from the source")
+        problems.extend(map(str, package_faults(i, values.get("id"), values.get("destination"),
+                                                 source, node_ids, package_ids)))
         if package is not None:
             packages.append(package)
 

@@ -15,7 +15,7 @@ from .energy import BatteryState, EnergyBreakdown, LegEnergy, consumption_rate, 
 from .errors import BatteryDepleted, InconsistentAssignment, InvalidLevel, NonFiniteLength
 from .graph import Path, SkywayNetwork
 from .planner import (DroneConfig, HangingAssignment, MissionPlan, Package, assign_levels,
-                      plan_ndf, plan_optimal, plan_total_distance)
+                      left_to_right_sum, plan_ndf, plan_optimal, plan_total_distance)
 from .rules import check_fields, positive
 
 if TYPE_CHECKING:
@@ -287,7 +287,7 @@ def simulate_mission(network: SkywayNetwork, plan: MissionPlan,
                 leg_rate * flight.leg_distance))
 
     breakdown = EnergyBreakdown(tuple(leg_energies),
-                                sum(rec.energy for rec in leg_energies))
+                                left_to_right_sum(rec.energy for rec in leg_energies))
     report = MissionReport(
         completed=abort_reason is None,
         releases=tuple(releases),

@@ -2,11 +2,17 @@
 
 The oracles deliberately avoid the library's own algorithms: path minima come
 from exhaustive DFS over simple paths, so Dijkstra has something independent
-to agree with.
+to agree with, and optimal release orders from scoring every permutation,
+so the Held–Karp planner does.
 """
 from __future__ import annotations
 
-from skyway_delivery import Package, SkywayNetwork, build_network
+import itertools
+import math
+
+from hypothesis import strategies as st
+
+from skyway_delivery import Package, SkywayNetwork, build_network, generate_scenario
 
 N1_NODE_SPECS = [
     ("S", 0.0, 0.0, 0.0),
@@ -46,6 +52,45 @@ def build_n2() -> SkywayNetwork:
     return build_network(N2_NODE_SPECS, N2_SEGMENT_SPECS)
 
 
+def collinear_network(xs) -> SkywayNetwork:
+    """Nodes at the distinct integers ``xs`` on one line, every pair joined.
+
+    Like n2: lengths are whole numbers, so a route through a middle node ties
+    the direct segment exactly.
+    """
+    ids = [f"c{i:02d}" for i in range(len(xs))]
+    specs = [(node_id, float(x), 0.0, 0.0) for node_id, x in zip(ids, xs)]
+    return build_network(specs, list(itertools.combinations(ids, 2)))
+
+
+def grid_network(width: int, height: int) -> SkywayNetwork:
+    """A unit grid joined to its four neighbours: many routes of equal length."""
+    def node_id(x, y):
+        return f"g{x}-{y}"
+
+    specs = [(node_id(x, y), float(x), float(y), 0.0)
+             for x in range(width) for y in range(height)]
+    segments = [(node_id(x, y), node_id(x + 1, y))
+                for x in range(width - 1) for y in range(height)]
+    segments += [(node_id(x, y), node_id(x, y + 1))
+                 for x in range(width) for y in range(height - 1)]
+    return build_network(specs, segments)
+
+
+def lattice_networks():
+    """Integer-lattice networks, where equal-length paths and orders are common."""
+    collinear = st.lists(st.integers(-8, 8), min_size=2, max_size=8,
+                         unique=True).map(collinear_network)
+    grids = st.builds(grid_network, st.integers(1, 4), st.integers(2, 4))
+    return st.one_of(collinear, grids)
+
+
+def generated_networks(max_nodes: int = 30):
+    """Networks of ``generate_scenario``: random positions, a spanning tree and extras."""
+    return st.builds(lambda count, seed: generate_scenario(count, 0, seed).network,
+                     st.integers(2, max_nodes), st.integers(0, 10**6))
+
+
 def best_simple_paths(network: SkywayNetwork, source: str):
     """(length, lexicographically smallest sequence) per node, by brute force."""
     best: dict[str, tuple[float, tuple[str, ...]]] = {source: (0.0, (source,))}
@@ -79,3 +124,24 @@ def simple_path_minima(network: SkywayNetwork, source: str) -> dict[str, float]:
 
     walk(source, 0.0, frozenset({source}))
     return minima
+
+
+def permutation_order(dist) -> tuple[tuple[int, ...], float]:
+    """Score every visiting order of stops 1..n-1 from and back to stop 0.
+
+    Totals are summed left to right from 0.0; the first order (in
+    lexicographic order) to reach the minimum wins. The oracle for
+    ``planner.optimal_order``.
+    """
+    best_order: tuple[int, ...] | None = None
+    best_total = math.inf
+    for order in itertools.permutations(range(1, len(dist))):
+        total = 0.0
+        at = 0
+        for stop in order:
+            total += dist[at][stop]
+            at = stop
+        total += dist[at][0]
+        if best_order is None or total < best_total:
+            best_order, best_total = order, total
+    return best_order, best_total

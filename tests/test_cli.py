@@ -5,7 +5,12 @@ import json
 
 import pytest
 
-from skyway_delivery import generate_scenario, parse_scenario, serialize_scenario
+from skyway_delivery import (
+    EXHAUSTIVE_PACKAGE_CAP,
+    generate_scenario,
+    parse_scenario,
+    serialize_scenario,
+)
 from skyway_delivery.cli import cli_main, compare_strategies
 
 
@@ -133,7 +138,8 @@ def test_compare_strategies_api(scenario_dir):
 
 
 def test_compare_beyond_exhaustive_cap_exits_two(capsys, tmp_path):
-    scenario = generate_scenario(node_count=12, package_count=10, seed=5)
+    crowd = EXHAUSTIVE_PACKAGE_CAP + 1
+    scenario = generate_scenario(node_count=crowd + 2, package_count=crowd, seed=5)
     light = dataclasses.replace(
         scenario,
         packages=tuple(dataclasses.replace(p, mass=0.5) for p in scenario.packages))
@@ -228,6 +234,19 @@ def test_overflowing_segment_exits_two(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "network:" in err
+
+
+def test_integer_too_large_for_a_float_exits_two(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "source": "S",
+        "nodes": [{"id": "S", "x": 10 ** 400, "y": 0}, {"id": "T", "x": 1, "y": 0}],
+        "segments": [{"a": "S", "b": "T"}],
+    }), encoding="utf-8")
+    code, out, err = run_cli(capsys, "plan", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: nodes[0].x: must be finite\n"
 
 
 def test_compare_strategies_is_library_code():

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 import helpers
-from skyway_delivery import Node, build_network, shortest_path, shortest_paths_from
+from skyway_delivery import (
+    Node,
+    Path,
+    build_network,
+    shortest_path,
+    shortest_paths_from,
+    stop_matrix,
+)
 from skyway_delivery.errors import (
     DisconnectedNetwork,
     DuplicateNodeId,
@@ -188,3 +195,45 @@ def test_build_network_accepts_node_objects():
     assert from_nodes == build_network([("u", 0.0, 0.0, 2.0), ("v", 3.0, 4.0, 0.0)],
                                        [("u", "v")])
     assert from_nodes.node("u") is nodes[0]
+
+
+@given(st.one_of(helpers.generated_networks(), helpers.lattice_networks()))
+def test_shortest_path_stops_at_the_goal_with_the_full_run_path(network):
+    for start in network.nodes:
+        full = shortest_paths_from(network, start)
+        for goal in network.nodes:
+            assert shortest_path(network, start, goal) == full[goal]
+
+
+@given(st.one_of(helpers.generated_networks(), helpers.lattice_networks()), st.data())
+def test_targeted_run_settles_its_targets_with_the_full_run_paths(network, data):
+    ids = sorted(network.nodes)
+    source = data.draw(st.sampled_from(ids))
+    targets = data.draw(st.lists(st.sampled_from(ids), max_size=4))
+    full = shortest_paths_from(network, source)
+    early = shortest_paths_from(network, source, targets)
+    assert set(targets) <= set(early) <= set(full)
+    assert all(early[node_id] == full[node_id] for node_id in early)
+
+
+def test_targeted_run_stops_once_its_targets_are_settled(n1_network):
+    assert shortest_paths_from(n1_network, "S", ["S"]) == {"S": Path(("S",), 0.0)}
+    assert set(shortest_paths_from(n1_network, "S", [])) == {"S"}
+
+
+def test_unknown_target_raises(n1_network):
+    with pytest.raises(UnknownNode):
+        shortest_paths_from(n1_network, "S", ["A", "ghost"])
+    with pytest.raises(UnknownNode):
+        stop_matrix(n1_network, ["S", "ghost"])
+
+
+@given(st.one_of(helpers.generated_networks(), helpers.lattice_networks()), st.data())
+def test_stop_matrix_paths_equal_full_run_paths(network, data):
+    stops = data.draw(st.lists(st.sampled_from(sorted(network.nodes)), min_size=1,
+                               max_size=6))
+    matrix = stop_matrix(network, stops)
+    assert set(matrix) == set(stops)
+    for a in stops:
+        full = shortest_paths_from(network, a)
+        assert matrix[a] == {b: full[b] for b in stops}

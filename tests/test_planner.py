@@ -3,17 +3,24 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from skyway_delivery import (
+    EXHAUSTIVE_PACKAGE_CAP,
     DroneConfig,
+    Leg,
+    MissionPlan,
     Package,
+    Path,
     assign_levels,
+    build_network,
     check_feasibility,
+    optimal_order,
     plan_ndf,
     plan_optimal,
     plan_total_distance,
+    shortest_paths_from,
 )
 from skyway_delivery.errors import (
     InfeasiblePayload,
@@ -102,7 +109,7 @@ def test_exhaustive_matches_ndf_on_n1(n1_network, n1_packages):
 
 
 def test_exhaustive_package_cap(n1_network):
-    crowd = [Package(f"x{i}", 0.1, "A") for i in range(10)]
+    crowd = [Package(f"x{i}", 0.1, "A") for i in range(EXHAUSTIVE_PACKAGE_CAP + 1)]
     with pytest.raises(TooManyPackagesForExhaustive):
         plan_optimal(n1_network, "S", crowd)
 
@@ -218,3 +225,119 @@ def test_drone_config_rejects_non_finite_fields(field, value):
 def test_package_rejects_non_finite_mass(mass):
     with pytest.raises(ValueError, match="mass"):
         Package("p", mass, "A")
+
+
+def test_planner_faults_carry_the_package_and_its_locator(n1_network):
+    packages = [Package("p1", 1.0, "A"), Package("q", 1.0, "ghost")]
+    with pytest.raises(UnknownDestination,
+                       match=r"^package 'q': packages\[1\]\.destination: unknown node 'ghost'$"):
+        plan_ndf(n1_network, "S", packages)
+
+
+# -- the Held–Karp planner against the permutation oracle ---------------------
+
+# Small legs whose sums round (0.1 + 0.2 != 0.3), and long legs that swallow
+# part of them: the ulp of 1e16 is 2 and that of 3e16 is 4.
+SMALL_LEGS = [0.0, 0.1, 0.2, 0.3, 1.0, 3.0]
+LONG_LEGS = [1e16, 3e16]
+
+
+@st.composite
+def distance_matrices(draw, max_stops=9):
+    """Arbitrary (not symmetric, not metric) matrices of up to 8 packages.
+
+    A share of the cells holds one long leg and the rest small ones, so that
+    a long leg swallows different small prefixes: exact ties between orders
+    and near-ties are common.
+    """
+    size = draw(st.integers(1, max_stops))
+    long_leg = draw(st.sampled_from(LONG_LEGS))
+    legs = SMALL_LEGS + [long_leg] * draw(st.integers(1, 12))
+    cells = draw(st.lists(st.sampled_from(legs), min_size=size * size,
+                          max_size=size * size))
+    return [cells[i * size:(i + 1) * size] for i in range(size)]
+
+
+@settings(max_examples=400)
+@given(distance_matrices())
+def test_optimal_order_matches_the_permutation_oracle(dist):
+    order, total = optimal_order(dist)
+    want_order, want_total = helpers.permutation_order(dist)
+    assert order == want_order
+    assert total.hex() == want_total.hex()
+
+
+def test_optimal_order_ties_through_a_prefix_that_is_not_the_least():
+    # [3, 1, 2] reaches {1, 2, 3} at 1e16 and [1, 3, 2] only at
+    # 1.0000000000000002e16, yet both totals round to 1.0000000000000004e16;
+    # building the order from least prefixes alone would give [3, 1, 2].
+    dist = [[0, 1, 3, 1e16], [1, 0, 0.1, 0.2], [3, 0.1, 0, 1e16], [1e16, 0.2, 1e16, 0]]
+    assert optimal_order(dist) == ((1, 3, 2), 1.0000000000000004e16)
+    assert helpers.permutation_order(dist) == ((1, 3, 2), 1.0000000000000004e16)
+
+
+def test_optimal_order_without_stops():
+    assert optimal_order([[0.0]]) == ((), 0.0)
+
+
+def _manifests(data, network, max_packages=6):
+    """A source and packages to random other nodes; destinations may repeat."""
+    ids = sorted(network.nodes)
+    source = data.draw(st.sampled_from(ids))
+    others = [node_id for node_id in ids if node_id != source]
+    destinations = data.draw(st.lists(st.sampled_from(others), max_size=max_packages))
+    packages = [Package(f"p{i}", 1.0, d) for i, d in enumerate(destinations)]
+    return source, data.draw(st.permutations(packages))
+
+
+@given(st.one_of(helpers.generated_networks(), helpers.lattice_networks()), st.data())
+def test_plan_optimal_matches_the_permutation_oracle(network, data):
+    source, packages = _manifests(data, network)
+    ordered = sorted(packages, key=lambda p: p.id)
+    stops = [source, *(p.destination for p in ordered)]
+    full = {stop: shortest_paths_from(network, stop) for stop in stops}
+    order, total = helpers.permutation_order(
+        [[full[a][b].total_length for b in stops] for a in stops])
+
+    plan = plan_optimal(network, source, packages)
+    assert plan.release_order == tuple(ordered[i - 1].id for i in order)
+    assert plan_total_distance(plan) == total
+    visits = [source, *(stops[i] for i in order), source]
+    assert [leg.path for leg in plan.legs] == [
+        full[a][b] for a, b in zip(visits, visits[1:])]
+
+
+@given(st.one_of(helpers.generated_networks(), helpers.lattice_networks()), st.data())
+def test_ndf_matches_greedy_over_full_dijkstra_runs(network, data):
+    source, packages = _manifests(data, network, max_packages=8)
+    legs = []
+    remaining = sorted(packages, key=lambda p: p.id)
+    at = source
+    while remaining:
+        paths = shortest_paths_from(network, at)
+        chosen = min(remaining, key=lambda p: (paths[p.destination].total_length, p.id))
+        legs.append((paths[chosen.destination], chosen.id))
+        remaining.remove(chosen)
+        at = chosen.destination
+    legs.append((shortest_paths_from(network, at)[source], None))
+
+    plan = plan_ndf(network, source, packages)
+    assert [(leg.path, leg.release) for leg in plan.legs] == legs
+
+
+def test_plan_optimal_delivers_every_package_when_every_total_overflows():
+    # Each segment is finite, but every round trip sums past the largest float.
+    network = build_network([("S", 0.0, 0.0, 0.0), ("A", 1.7e308, 0.0, 0.0),
+                             ("B", -1.7e308, 0.0, 0.0)], [("S", "A"), ("S", "B")])
+    plan = plan_optimal(network, "S", [Package("p2", 1.0, "B"), Package("p1", 1.0, "A")])
+    assert plan.release_order == ("p1", "p2")
+    assert plan_total_distance(plan) == math.inf
+
+
+def test_plan_total_distance_adds_legs_in_flying_order():
+    # Left to right, 1e16 + 1 rounds back to 1e16 (its ulp is 2) twice over;
+    # a compensated sum, such as sum() from Python 3.12 on, gives 1e16 + 2.
+    legs = (Leg(Path(("S", "A"), 1e16), "p1"), Leg(Path(("A", "B"), 1.0), "p2"),
+            Leg(Path(("B", "S"), 1.0), None))
+    plan = MissionPlan(source="S", legs=legs, strategy_label="exhaustive")
+    assert plan_total_distance(plan) == 1e16

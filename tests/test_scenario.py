@@ -139,6 +139,39 @@ def test_non_finite_numbers_rejected():
     assert problems == ["drone.base_rate: must be finite"]
 
 
+HUGE = 10 ** 400  # a JSON integer literal too large for a float
+
+
+@pytest.mark.parametrize("overrides, violation", [
+    ({"nodes": [{"id": "S", "x": HUGE, "y": 0}, {"id": "T", "x": 10, "y": 0}]},
+     "nodes[0].x: must be finite"),
+    ({"nodes": [{"id": "S", "x": 0, "y": 0}, {"id": "T", "x": 10, "y": -HUGE}]},
+     "nodes[1].y: must be finite"),
+    ({"drone": {"battery_capacity": HUGE}}, "drone.battery_capacity: must be finite"),
+    ({"drone": {"frame_mass": -HUGE}}, "drone.frame_mass: must be finite"),
+    ({"rig": {"levels": [HUGE, 2, 1]}}, "rig.levels[0]: expected a positive number"),
+    ({"rig": {"clearance": HUGE}}, "rig.clearance: must be finite"),
+    ({"packages": [{"id": "p", "mass": HUGE, "destination": "T"}]},
+     "packages[0].mass: must be finite"),
+])
+def test_integer_too_large_for_a_float_is_a_violation(overrides, violation):
+    assert violations_of(doc(**overrides)) == [violation]
+
+
+def test_integer_past_the_digit_limit_is_not_a_crash():
+    # Interpreters with a digit limit for int conversion refuse the literal
+    # (a syntax error); others read it as an infinite x.
+    text = MINIMAL.replace('"x": 10', '"x": 1' + "0" * 5000)
+    try:
+        parse_scenario(text)
+    except ScenarioSyntaxError:
+        pass
+    except ValidationError as exc:
+        assert list(exc.violations) == ["nodes[1].x: must be finite"]
+    else:
+        raise AssertionError("a 5001-digit x was accepted")
+
+
 def test_source_must_exist():
     problems = violations_of(doc(source="elsewhere"))
     assert problems == ["source: unknown node 'elsewhere'"]
