@@ -11,8 +11,8 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import InfeasiblePayload, SkywayError
-from .planner import MissionPlan, assign_levels, plan_ndf, plan_optimal, plan_total_distance
+from .errors import InfeasiblePayload, ScenarioSyntaxError, SkywayError
+from .planner import PLANNERS, MissionPlan, assign_levels, plan_total_distance
 from .scenario import (
     Scenario,
     export_telemetry,
@@ -24,17 +24,19 @@ from .scenario import (
 # The compare types stay importable from here as well as from the package.
 from .simulator import CompareResult, StrategyOutcome, compare_strategies, simulate_mission  # noqa: F401
 
-_PLANNERS = {"ndf": plan_ndf, "exhaustive": plan_optimal}
-
 
 def _plan(scenario: Scenario, strategy: str) -> MissionPlan:
-    planner = _PLANNERS[strategy]
-    return planner(scenario.network, scenario.source, scenario.packages,
-                   drone=scenario.drone, level_count=scenario.rig.level_count)
+    return PLANNERS[strategy](scenario.network, scenario.source, scenario.packages,
+                              drone=scenario.drone, level_count=scenario.rig.level_count)
 
 
 def _load_scenario(path: str) -> Scenario:
-    return parse_scenario(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioSyntaxError(
+            f"{path}: not UTF-8 text ({exc.reason} at offset {exc.start})") from exc
+    return parse_scenario(text)
 
 
 def _format_order(release_order: tuple[str, ...]) -> str:
@@ -134,16 +136,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     plan_parser = sub.add_parser("plan", help="compute a delivery plan")
     plan_parser.add_argument("scenario", help="scenario JSON file")
-    plan_parser.add_argument("--strategy", choices=("ndf", "exhaustive"),
-                             default="ndf")
+    plan_parser.add_argument("--strategy", choices=PLANNERS, default="ndf")
     plan_parser.add_argument("--json", action="store_true",
                              help="emit the plan as JSON")
     plan_parser.set_defaults(handler=_cmd_plan)
 
     run_parser = sub.add_parser("run", help="plan and fly a mission")
     run_parser.add_argument("scenario", help="scenario JSON file")
-    run_parser.add_argument("--strategy", choices=("ndf", "exhaustive"),
-                            default="ndf")
+    run_parser.add_argument("--strategy", choices=PLANNERS, default="ndf")
     run_parser.add_argument("--telemetry", metavar="CSV",
                             help="write the telemetry log to this file")
     run_parser.add_argument("--report", metavar="JSON",

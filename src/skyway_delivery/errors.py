@@ -29,7 +29,8 @@ class ZeroLengthSegment(SkywayError):
 
 
 class NonFiniteLength(SkywayError):
-    """A segment or a flight move is too long to measure: its length overflows."""
+    """A segment or a flight move is too long to measure: its length or its
+    duration overflows."""
 
 
 class DisconnectedNetwork(SkywayError):

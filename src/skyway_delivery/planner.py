@@ -6,7 +6,7 @@ import math
 import operator
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     InfeasiblePayload,
@@ -145,9 +145,16 @@ def package_faults(index: int, package_id: str | None, destination: str | None,
     return faults
 
 
-def _check_inputs(network: SkywayNetwork, source: str, packages: Sequence[Package],
-                  drone: DroneConfig | None, level_count: int | None) -> list[Package]:
-    """The packages sorted by id, once they are fit to plan; else raise."""
+def _plan(network: SkywayNetwork, source: str, packages: Sequence[Package],
+          drone: DroneConfig | None, level_count: int | None, label: str,
+          choose: Callable[[list[list[float]]], Sequence[int]]) -> MissionPlan:
+    """The plan that delivers the packages in the order ``choose`` picks.
+
+    Once the packages are fit to plan (else raise), stop 0 is the source and
+    stop i the destination of the i-th package by id. ``choose`` gets the
+    stop-to-stop distances ``dist[a][b]`` and returns the stops 1..n in
+    flying order; the plan ends with a return leg to the source.
+    """
     network.node(source)
     seen_ids: set[str] = set()
     for i, package in enumerate(packages):
@@ -156,11 +163,33 @@ def _check_inputs(network: SkywayNetwork, source: str, packages: Sequence[Packag
         if faults:
             raise type(faults[0])(f"package {package.id!r}: {faults[0]}")
     ordered = sorted(packages, key=lambda p: p.id)
-    if drone is not None or level_count is not None:
-        report = check_feasibility(drone, ordered, level_count)
-        if not report.feasible:
-            raise InfeasiblePayload(report)
-    return ordered
+    report = check_feasibility(drone, ordered, level_count)
+    if not report.feasible:
+        raise InfeasiblePayload(report)
+    stops = [source, *(p.destination for p in ordered)]
+    paths = stop_matrix(network, stops)
+    legs: list[Leg] = []
+    at = source
+    for stop in choose([[paths[a][b].total_length for b in stops] for a in stops]):
+        package = ordered[stop - 1]
+        legs.append(Leg(paths[at][package.destination], package.id))
+        at = package.destination
+    legs.append(Leg(paths[at][source], None))
+    return MissionPlan(source=source, legs=tuple(legs), strategy_label=label)
+
+
+def _nearest_first(dist: Sequence[Sequence[float]]) -> tuple[int, ...]:
+    """From stop 0, always on to the nearest stop not yet visited.
+
+    A tie goes to the smaller stop; a repeated destination is a 0.0 entry,
+    so it is taken next.
+    """
+    order = [0]
+    left = list(range(1, len(dist)))
+    while left:
+        order.append(min(left, key=dist[order[-1]].__getitem__))
+        left.remove(order[-1])
+    return tuple(order[1:])
 
 
 def plan_ndf(network: SkywayNetwork, source: str, packages: Sequence[Package], *,
@@ -172,18 +201,7 @@ def plan_ndf(network: SkywayNetwork, source: str, packages: Sequence[Package], *
     ranking is recomputed after every delivery. Ties fall to the smaller
     package id. The plan ends with a return leg to the source.
     """
-    remaining = _check_inputs(network, source, packages, drone, level_count)
-    paths = stop_matrix(network, [source, *(p.destination for p in remaining)])
-    legs: list[Leg] = []
-    current = source
-    while remaining:
-        row = paths[current]
-        chosen = min(remaining, key=lambda p: (row[p.destination].total_length, p.id))
-        legs.append(Leg(row[chosen.destination], chosen.id))
-        current = chosen.destination
-        remaining.remove(chosen)
-    legs.append(Leg(paths[current][source], None))
-    return MissionPlan(source=source, legs=tuple(legs), strategy_label="ndf")
+    return _plan(network, source, packages, drone, level_count, "ndf", _nearest_first)
 
 
 def plan_optimal(network: SkywayNetwork, source: str, packages: Sequence[Package], *,
@@ -199,19 +217,14 @@ def plan_optimal(network: SkywayNetwork, source: str, packages: Sequence[Package
         raise TooManyPackagesForExhaustive(
             f"{len(packages)} packages exceed the exhaustive cap of {EXHAUSTIVE_PACKAGE_CAP}"
         )
-    ordered = _check_inputs(network, source, packages, drone, level_count)
-    stops = [source, *(p.destination for p in ordered)]
-    paths = stop_matrix(network, stops)
-    order, _ = optimal_order([[paths[a][b].total_length for b in stops] for a in stops])
+    return _plan(network, source, packages, drone, level_count, "exhaustive",
+                 lambda dist: optimal_order(dist)[0])
 
-    legs: list[Leg] = []
-    at = source
-    for stop in order:
-        package = ordered[stop - 1]
-        legs.append(Leg(paths[at][package.destination], package.id))
-        at = package.destination
-    legs.append(Leg(paths[at][source], None))
-    return MissionPlan(source=source, legs=tuple(legs), strategy_label="exhaustive")
+
+# The strategies by their CLI name. Callers look a planner up here when they
+# call it, so a wrapper put into this table (as the benchmark's tracer does)
+# is the one that runs.
+PLANNERS = {"ndf": plan_ndf, "exhaustive": plan_optimal}
 
 
 def optimal_order(dist: Sequence[Sequence[float]]) -> tuple[tuple[int, ...], float]:

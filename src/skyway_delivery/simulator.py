@@ -14,8 +14,8 @@ from typing import TYPE_CHECKING, Sequence
 from .energy import BatteryState, EnergyBreakdown, LegEnergy, consumption_rate, drain
 from .errors import BatteryDepleted, InconsistentAssignment, InvalidLevel, NonFiniteLength
 from .graph import Path, SkywayNetwork
-from .planner import (DroneConfig, HangingAssignment, MissionPlan, Package, assign_levels,
-                      left_to_right_sum, plan_ndf, plan_optimal, plan_total_distance)
+from .planner import (PLANNERS, DroneConfig, HangingAssignment, MissionPlan, Package,
+                      assign_levels, left_to_right_sum, plan_total_distance)
 from .rules import check_fields, positive
 
 if TYPE_CHECKING:
@@ -167,6 +167,8 @@ class _Flight:
         x0, y0, z0, t0 = self.x, self.y, self.z, self.clock
         battery0 = self.battery.remaining
         t1 = t0 + dist * fraction / speed
+        if not math.isfinite(t1):
+            raise NonFiniteLength(f"move to ({x}, {y}, {z}) takes no finite time")
         while True:
             ts = (self._samples + 1) * self.step
             if ts >= t1 - _BOUNDARY_EPS:
@@ -316,15 +318,20 @@ class CompareResult:
 
 
 def compare_strategies(scenario: Scenario) -> CompareResult:
-    """Plan and fly both strategies, then relate their total distances."""
+    """Plan and fly both strategies, then relate their total distances.
+
+    The flights are for their reports only, so they record no telemetry
+    samples.
+    """
     outcomes = []
-    for label, planner in (("ndf", plan_ndf), ("exhaustive", plan_optimal)):
+    for planner in PLANNERS.values():
         plan = planner(scenario.network, scenario.source, scenario.packages,
                        drone=scenario.drone, level_count=scenario.rig.level_count)
         _, report = simulate_mission(scenario.network, plan, assign_levels(plan),
-                                     scenario.drone, scenario.rig, scenario.packages)
+                                     scenario.drone, scenario.rig, scenario.packages,
+                                     telemetry_step=math.inf)
         outcomes.append(StrategyOutcome(
-            label=label,
+            label=plan.strategy_label,
             release_order=plan.release_order,
             total_distance=plan_total_distance(plan),
             total_energy=report.energy.total,

@@ -12,6 +12,7 @@ from skyway_delivery import (
     serialize_scenario,
 )
 from skyway_delivery.cli import cli_main, compare_strategies
+from skyway_delivery.planner import PLANNERS
 
 
 def run_cli(capsys, *argv):
@@ -202,6 +203,35 @@ def test_unknown_strategy_rejected(capsys, scenario_dir):
     code, _, _ = run_cli(capsys, "plan", str(scenario_dir / "n1.json"),
                          "--strategy", "magic")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["plan", "run"])
+def test_strategy_choices_are_the_planner_table(capsys, command):
+    code, out, _ = run_cli(capsys, command, "--help")
+    assert code == 0
+    assert f"--strategy {{{','.join(PLANNERS)}}}" in out
+
+
+def test_compare_flies_the_planners_in_the_table(monkeypatch, scenario_dir):
+    called = []
+    for name, planner in list(PLANNERS.items()):
+        def traced(*args, name=name, planner=planner, **kwargs):
+            called.append(name)
+            return planner(*args, **kwargs)
+        monkeypatch.setitem(PLANNERS, name, traced)
+    result = compare_strategies(parse_scenario((scenario_dir / "n2.json").read_text()))
+    assert called == list(PLANNERS)
+    assert [result.ndf.label, result.optimal.label] == list(PLANNERS)
+
+
+@pytest.mark.parametrize("command", ["plan", "run", "compare"])
+def test_non_utf8_scenario_file_exits_two(capsys, tmp_path, command):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: not UTF-8 text (invalid start byte at offset 0)\n"
 
 
 def test_output_is_reproducible(capsys, scenario_dir, tmp_path):

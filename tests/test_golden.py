@@ -8,7 +8,9 @@ report JSON of aborting flights are pinned here.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
+import math
 import sys
 from pathlib import Path
 
@@ -166,3 +168,23 @@ def test_aborted_flight_bytes(spec):
         scenario.packages, release_dwell=dwell, telemetry_step=step)
     assert not report.completed
     assert (sha(export_telemetry(log)), sha(serialize_report(report))) == ABORTS[spec]
+
+
+def flights_at_both_steps():
+    """Every aborting flight above, then completed generated missions."""
+    for nodes, packages, seed, battery, dwell, step in sorted(ABORTS):
+        yield generate_scenario(nodes, packages, seed), battery, dwell, step
+    for seed in range(8):
+        yield generate_scenario(6 + seed, 1 + seed % 4, seed), 1e7, 2.0, 0.1
+
+
+def test_an_infinite_step_flies_the_same_report():
+    for scenario, battery, dwell, step in flights_at_both_steps():
+        drone = dataclasses.replace(scenario.drone, battery_capacity=battery)
+        plan = plan_ndf(scenario.network, scenario.source, scenario.packages)
+        fly = functools.partial(simulate_mission, scenario.network, plan,
+                                assign_levels(plan), drone, scenario.rig,
+                                scenario.packages, release_dwell=dwell)
+        log, report = fly(telemetry_step=math.inf)
+        assert report == fly(telemetry_step=step)[1]
+        assert all(record.event for record in log)

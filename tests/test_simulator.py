@@ -326,22 +326,21 @@ def test_release_dwell_must_be_finite(n1_network, dwell):
                          StringRig(), [], release_dwell=dwell)
 
 
-def test_overflowing_altitude_raises_instead_of_hanging():
-    # A finite rooftop plus a finite hang overflows to an infinite altitude.
-    # The flight runs in a child capped in time and memory, so a simulator
-    # that loops on it fails this test rather than hanging the suite.
-    script = textwrap.dedent("""
+def raises_non_finite_in_a_capped_child(rooftop, drone, levels):
+    """Fly S -> A in a child capped in time and memory, so a simulator that
+    loops on the mission fails the caller rather than hanging the suite."""
+    script = textwrap.dedent(f"""
         from skyway_delivery import (
             DroneConfig, Package, StringRig, assign_levels, build_network,
             plan_ndf, simulate_mission)
         from skyway_delivery.errors import NonFiniteLength
         network = build_network(
-            [("S", 0.0, 0.0, 0.0), ("A", 10.0, 0.0, 1e308)], [("S", "A")])
+            [("S", 0.0, 0.0, 0.0), ("A", 10.0, 0.0, {rooftop!r})], [("S", "A")])
         packages = [Package("p", 1.0, "A")]
         plan = plan_ndf(network, "S", packages)
         try:
-            simulate_mission(network, plan, assign_levels(plan), DroneConfig(),
-                             StringRig(levels=(1e308,)), packages)
+            simulate_mission(network, plan, assign_levels(plan), DroneConfig(**{drone!r}),
+                             StringRig(levels={levels!r}), packages)
         except NonFiniteLength:
             print("raised")
     """)
@@ -354,6 +353,16 @@ def test_overflowing_altitude_raises_instead_of_hanging():
                          env={**os.environ, "PYTHONPATH": src}, preexec_fn=cap_memory,
                          timeout=30)
     assert out.stdout.strip() == "raised", out.stderr
+
+
+def test_overflowing_altitude_raises_instead_of_hanging():
+    # A finite rooftop plus a finite hang overflows to an infinite altitude.
+    raises_non_finite_in_a_capped_child(1e308, {}, (1e308,))
+
+
+def test_overflowing_move_duration_raises_instead_of_hanging():
+    # A finite cruise at a subnormal speed takes longer than a float holds.
+    raises_non_finite_in_a_capped_child(0.0, {"cruise_speed": 1e-320}, (3.0, 2.0, 1.0))
 
 
 def test_release_dwell_samples_hold_position_payload_and_battery():
