@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -22,7 +23,13 @@ from .scenario import (
     serialize_scenario,
 )
 # The compare types stay importable from here as well as from the package.
-from .simulator import CompareResult, StrategyOutcome, compare_strategies, simulate_mission  # noqa: F401
+from .simulator import (  # noqa: F401
+    DEFAULT_TELEMETRY_STEP,
+    CompareResult,
+    StrategyOutcome,
+    compare_strategies,
+    simulate_mission,
+)
 
 
 def _plan(scenario: Scenario, strategy: str) -> MissionPlan:
@@ -78,8 +85,12 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.scenario)
     plan = _plan(scenario, args.strategy)
+    # Without a telemetry file the flight is for its report only, which is the
+    # same at any step, so it takes no samples.
+    step = DEFAULT_TELEMETRY_STEP if args.telemetry else math.inf
     log, report = simulate_mission(scenario.network, plan, assign_levels(plan),
-                                   scenario.drone, scenario.rig, scenario.packages)
+                                   scenario.drone, scenario.rig, scenario.packages,
+                                   telemetry_step=step)
     if args.telemetry:
         Path(args.telemetry).write_text(export_telemetry(log),
                                         encoding="utf-8", newline="")

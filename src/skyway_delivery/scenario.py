@@ -7,12 +7,11 @@ locator such as ``packages[2].mass``.
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import random
 from dataclasses import MISSING, asdict, dataclass, fields
+from json.encoder import encode_basestring_ascii
 
 from .errors import InvalidParams, ScenarioSyntaxError, SkywayError, ValidationError
 from .graph import Node, SkywayNetwork, build_network, node_faults, segment_faults
@@ -252,21 +251,52 @@ def parse_scenario(text: str) -> Scenario:
                     packages=tuple(packages), label=label)
 
 
+_NODE_JSON = ('    {\n      "id": %s,\n      "x": %s,\n      "y": %s,\n'
+              '      "rooftop_height": %s\n    }')
+_SEGMENT_JSON = '    {\n      "a": %s,\n      "b": %s\n    }'
+
+
+def _json_string(value) -> str:
+    return encode_basestring_ascii(value) if type(value) is str else json.dumps(value)
+
+
+def _json_number(value) -> str:
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)
+
+
+def _json_items(items: list[str]) -> str:
+    """A list of rendered items, as ``json.dumps(..., indent=2)`` nests it in a document."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
 def serialize_scenario(scenario: Scenario) -> str:
-    """Render a scenario back to its JSON document form (stable ordering)."""
-    doc: dict = {}
-    if scenario.label is not None:
-        doc["label"] = scenario.label
-    doc["source"] = scenario.source
-    doc["nodes"] = [
-        {"id": node.id, "x": node.x, "y": node.y, "rooftop_height": node.rooftop_height}
-        for node in sorted(scenario.network.nodes.values(), key=lambda n: n.id)
+    """Render a scenario back to its JSON document form (stable ordering).
+
+    The text is ``json.dumps(doc, indent=2)`` of the document. The node and
+    segment lists, which grow with the network, are rendered item by item
+    with the encoder's C string and float routines rather than its
+    pure-Python indenting encoder.
+    """
+    network = scenario.network
+    nodes = [_NODE_JSON % (_json_string(node.id), _json_number(node.x), _json_number(node.y),
+                           _json_number(node.rooftop_height))
+             for node in sorted(network.nodes.values(), key=lambda n: n.id)]
+    segments = [_SEGMENT_JSON % (_json_string(seg.a), _json_string(seg.b))
+                for seg in network.segments]
+    members = [] if scenario.label is None else [("label", json.dumps(scenario.label))]
+    members += [
+        ("source", json.dumps(scenario.source)),
+        ("nodes", _json_items(nodes)),
+        ("segments", _json_items(segments)),
     ]
-    doc["segments"] = [{"a": seg.a, "b": seg.b} for seg in scenario.network.segments]
-    doc["drone"] = asdict(scenario.drone)
-    doc["rig"] = asdict(scenario.rig)
-    doc["packages"] = [asdict(package) for package in scenario.packages]
-    return json.dumps(doc, indent=2) + "\n"
+    for key, value in (("drone", asdict(scenario.drone)), ("rig", asdict(scenario.rig)),
+                       ("packages", [asdict(package) for package in scenario.packages])):
+        # The encoder escapes every newline inside a string, so each one in
+        # its output starts a line that nests two spaces deeper here.
+        members.append((key, json.dumps(value, indent=2).replace("\n", "\n  ")))
+    return "{\n" + ",\n".join(f'  "{key}": {text}' for key, text in members) + "\n}\n"
 
 
 def generate_scenario(node_count: int, package_count: int, seed: int,
@@ -337,17 +367,25 @@ def generate_scenario(node_count: int, package_count: int, seed: int,
                     rig=rig, packages=packages, label=label)
 
 
+_CSV_HEADER = "t,x,y,z,payload_mass,battery_remaining,event\n"
+_CSV_ROW = "%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%s\n"
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as a CSV field: quoted, with each ``"`` doubled, only when it
+    holds a comma, a quote or a newline. Every other character, ``\\r`` and
+    NUL included, is written as it is, whatever the Python version."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def export_telemetry(log: TelemetryLog) -> str:
     """Render telemetry as CSV; floats carry six decimals, samples a blank event."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["t", "x", "y", "z", "payload_mass", "battery_remaining", "event"])
-    for rec in log:
-        writer.writerow([
-            f"{rec.t:.6f}", f"{rec.x:.6f}", f"{rec.y:.6f}", f"{rec.z:.6f}",
-            f"{rec.payload_mass:.6f}", f"{rec.battery_remaining:.6f}", rec.event,
-        ])
-    return buffer.getvalue()
+    return _CSV_HEADER + "".join([
+        _CSV_ROW % rec if not rec.event else _CSV_ROW % (*rec[:6], _csv_field(rec.event))
+        for rec in log
+    ])
 
 
 def serialize_report(report: MissionReport) -> str:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .energy import BatteryState, EnergyBreakdown, LegEnergy, consumption_rate, drain
 from .errors import BatteryDepleted, InconsistentAssignment, InvalidLevel, NonFiniteLength
@@ -65,8 +65,12 @@ class StringRig:
         return self.levels[level - 1]
 
 
-@dataclass(frozen=True)
-class TelemetryRecord:
+class TelemetryRecord(NamedTuple):
+    """One telemetry row: a sample when ``event`` is empty, else an event.
+
+    A tuple in CSV column order, so the export formats it as it stands.
+    """
+
     t: float
     x: float
     y: float

@@ -3,12 +3,19 @@
 The oracles deliberately avoid the library's own algorithms: path minima come
 from exhaustive DFS over simple paths, so Dijkstra has something independent
 to agree with, and optimal release orders from scoring every permutation,
-so the Held–Karp planner does.
+so the Held–Karp planner does. The telemetry CSV and the scenario document
+come from the standard library's general writers, ``csv.writer`` and
+``json.dumps``, which the library's hand-built formats must match byte for
+byte.
 """
 from __future__ import annotations
 
+import csv
+import io
 import itertools
+import json
 import math
+from dataclasses import asdict
 
 from hypothesis import strategies as st
 
@@ -145,3 +152,40 @@ def permutation_order(dist) -> tuple[tuple[int, ...], float]:
         if best_order is None or total < best_total:
             best_order, best_total = order, total
     return best_order, best_total
+
+
+def csv_writer_export(log) -> str:
+    """The telemetry CSV as ``csv.writer`` writes it; the oracle for
+    ``export_telemetry``.
+
+    Only for events without ``\\r`` or NUL: Python 3.13's writer quotes an
+    event with a ``\\r`` and 3.10's refuses one with a NUL, where 3.11 and
+    3.12 write both as they are.
+    """
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["t", "x", "y", "z", "payload_mass", "battery_remaining", "event"])
+    for rec in log:
+        writer.writerow([
+            f"{rec.t:.6f}", f"{rec.x:.6f}", f"{rec.y:.6f}", f"{rec.z:.6f}",
+            f"{rec.payload_mass:.6f}", f"{rec.battery_remaining:.6f}", rec.event,
+        ])
+    return buffer.getvalue()
+
+
+def json_dumps_scenario(scenario) -> str:
+    """The scenario document as ``json.dumps(doc, indent=2)`` writes it; the
+    oracle for ``serialize_scenario``."""
+    doc: dict = {}
+    if scenario.label is not None:
+        doc["label"] = scenario.label
+    doc["source"] = scenario.source
+    doc["nodes"] = [
+        {"id": node.id, "x": node.x, "y": node.y, "rooftop_height": node.rooftop_height}
+        for node in sorted(scenario.network.nodes.values(), key=lambda n: n.id)
+    ]
+    doc["segments"] = [{"a": seg.a, "b": seg.b} for seg in scenario.network.segments]
+    doc["drone"] = asdict(scenario.drone)
+    doc["rig"] = asdict(scenario.rig)
+    doc["packages"] = [asdict(package) for package in scenario.packages]
+    return json.dumps(doc, indent=2) + "\n"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -10,7 +11,9 @@ from skyway_delivery import (
     generate_scenario,
     parse_scenario,
     serialize_scenario,
+    simulate_mission,
 )
+from skyway_delivery import cli
 from skyway_delivery.cli import cli_main, compare_strategies
 from skyway_delivery.planner import PLANNERS
 
@@ -87,6 +90,34 @@ def test_run_n1_writes_outputs(capsys, scenario_dir, tmp_path):
     header = telemetry.read_text().splitlines()[0]
     assert header == "t,x,y,z,payload_mass,battery_remaining,event"
     assert json.loads(report.read_text())["completed"] is True
+
+
+def test_run_without_telemetry_takes_no_samples(capsys, monkeypatch, scenario_dir, tmp_path):
+    steps = []
+
+    def recording(*args, **kwargs):
+        steps.append(kwargs.get("telemetry_step", 0.1))
+        return simulate_mission(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_mission", recording)
+    aborting = generate_scenario(12, 3, 1)  # runs dry cruising leg 1
+    aborting = dataclasses.replace(
+        aborting, drone=dataclasses.replace(aborting.drone, battery_capacity=900.0))
+    paths = [str(scenario_dir / f"{name}.json") for name in ("n1", "n2", "demo3")]
+    paths.append(scenario_file(tmp_path, aborting, "aborting.json"))
+    telemetry = tmp_path / "telemetry.csv"
+    for path in paths:
+        runs = []
+        for extra in ([], ["--telemetry", str(telemetry)]):
+            report = tmp_path / f"report{len(extra)}.json"
+            code, out, err = run_cli(capsys, "run", path, "--report", str(report), *extra)
+            runs.append((code, out.replace(str(report), "REPORT"), err, report.read_bytes()))
+        (code, out, err, report_bytes), with_telemetry = runs
+        written = f"telemetry written to {telemetry}\n"
+        assert with_telemetry == (code, out.replace("report written", written + "report written"),
+                                  err, report_bytes)
+        assert code == (1 if path.endswith("aborting.json") else 0)
+    assert steps == [math.inf, 0.1] * len(paths)
 
 
 def test_run_aborted_mission_exits_one(capsys, scenario_dir, tmp_path):
@@ -232,6 +263,39 @@ def test_non_utf8_scenario_file_exits_two(capsys, tmp_path, command):
     assert code == 2
     assert out == ""
     assert err == f"error: {path}: not UTF-8 text (invalid start byte at offset 0)\n"
+
+
+# n1 with package p1 renamed; RELEASE(p1) is the only event the id reaches.
+# csv.writer quoted "\r" on Python 3.13 and refused NUL on 3.10; these bytes
+# are the ones it wrote on 3.11 and 3.12, and hold on every version.
+N1_RELEASE_P1 = "14.500000,30.000000,40.000000,13.000000,4.000000,49480.000000,"
+ODD_PACKAGE_IDS = [
+    ("comma", "p,1", '"RELEASE(p,1)"\n'),
+    ("quote", 'p"1', '"RELEASE(p""1)"\n'),
+    ("newline", "p\n1", '"RELEASE(p\n1)"\n'),
+    ("carriage-return", "p\r1", "RELEASE(p\r1)\n"),
+    ("nul", "p\x001", "RELEASE(p\x001)\n"),
+]
+
+
+@pytest.mark.parametrize(("package_id", "field"), [case[1:] for case in ODD_PACKAGE_IDS],
+                         ids=[case[0] for case in ODD_PACKAGE_IDS])
+def test_odd_package_ids_write_the_same_csv_on_every_python(capsys, scenario_dir, tmp_path,
+                                                             package_id, field):
+    plain = tmp_path / "plain.csv"
+    assert run_cli(capsys, "run", str(scenario_dir / "n1.json"), "--telemetry", str(plain))[0] == 0
+    doc = json.loads((scenario_dir / "n1.json").read_text())
+    doc["packages"][0]["id"] = package_id
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    telemetry = tmp_path / "odd.csv"
+    code, out, err = run_cli(capsys, "run", str(path), "--telemetry", str(telemetry))
+    assert (code, err) == (0, "")
+    assert f"releases: {package_id}@A t=14.500s" in out
+    expected = plain.read_bytes().replace(f"{N1_RELEASE_P1}RELEASE(p1)\n".encode(),
+                                          f"{N1_RELEASE_P1}{field}".encode())
+    assert field.encode() in expected
+    assert telemetry.read_bytes() == expected
 
 
 def test_output_is_reproducible(capsys, scenario_dir, tmp_path):

@@ -6,10 +6,18 @@ import json
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import helpers
 from skyway_delivery import (
     DroneConfig,
+    Node,
+    Package,
+    Scenario,
     StringRig,
+    TelemetryRecord,
+    build_network,
     export_telemetry,
     generate_scenario,
     parse_scenario,
@@ -240,9 +248,11 @@ def test_label_must_be_string():
 
 
 def test_round_trip_preserves_the_document():
-    for seed in (0, 1, 7, 42):
-        scenario = generate_scenario(node_count=6, package_count=3, seed=seed)
+    for nodes, packages, seed in ((6, 3, 0), (6, 3, 1), (6, 3, 7), (6, 3, 42),
+                                  (2, 0, 5), (2, 1, 3), (50, 3, 9), (500, 9, 2)):
+        scenario = generate_scenario(node_count=nodes, package_count=packages, seed=seed)
         text = serialize_scenario(scenario)
+        assert text == helpers.json_dumps_scenario(scenario)
         assert parse_scenario(text) == scenario
         assert serialize_scenario(parse_scenario(text)) == text
 
@@ -250,7 +260,38 @@ def test_round_trip_preserves_the_document():
 def test_round_trip_bundled_fixtures(scenario_dir):
     for name in ("n1.json", "n2.json", "demo3.json"):
         scenario = parse_scenario((scenario_dir / name).read_text())
+        assert serialize_scenario(scenario) == helpers.json_dumps_scenario(scenario)
         assert parse_scenario(serialize_scenario(scenario)) == scenario
+
+
+# Ids with the characters JSON escapes: quotes, backslashes, control
+# characters and anything outside ASCII.
+_ODD_IDS = st.text(st.one_of(st.sampled_from('"\\/\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f681'),
+                             st.characters()), min_size=1, max_size=6)
+
+
+@st.composite
+def odd_scenarios(draw):
+    """Scenarios built through the API: odd ids, int or float coordinates, any label."""
+    ids = draw(st.lists(_ODD_IDS, min_size=1, max_size=6, unique=True))
+    coordinate = st.one_of(st.integers(-10**6, 10**6),
+                           st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=True))
+    height = st.one_of(st.integers(0, 500), st.floats(0.0, 500.0))
+    # Node i sits at x = i, so positions are distinct and a path joins them.
+    nodes = [Node(node_id, i, draw(coordinate), draw(height)) for i, node_id in enumerate(ids)]
+    network = build_network(nodes, list(zip(ids, ids[1:])))
+    package_ids = draw(st.lists(_ODD_IDS, max_size=3, unique=True))
+    packages = tuple(Package(package_id, draw(st.one_of(st.integers(1, 9), st.floats(0.01, 9.0))),
+                             draw(st.sampled_from(ids)))
+                     for package_id in package_ids)
+    drone = DroneConfig(max_payload=draw(st.one_of(st.integers(1, 50), st.floats(0.5, 50.0))))
+    return Scenario(network=network, source=ids[0], drone=drone, rig=StringRig(),
+                    packages=packages, label=draw(st.none() | st.text(max_size=8)))
+
+
+@given(odd_scenarios())
+def test_serialize_scenario_matches_json_dumps(scenario):
+    assert serialize_scenario(scenario) == helpers.json_dumps_scenario(scenario)
 
 
 def test_generation_is_deterministic():
@@ -331,6 +372,40 @@ def test_export_telemetry_format(n1_network, n1_packages):
     assert "RELEASE(p2)" in events
     assert text.endswith("\n")
     assert serialize_report(report)  # smoke: report renders too
+
+
+# Values a caller can put into a record through the API: floats of every
+# kind, ints and bools.
+_RECORD_VALUES = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+                     1e300, -1e300, 5e-324, 0.0000005, 2.5e-6]),
+    st.integers(-10**300, 10**300),
+    st.booleans(),
+)
+# csv.writer itself treats \r and NUL differently from one Python to the
+# next, so the oracle only covers events without them; the CLI tests pin the
+# bytes for those two.
+_EVENTS = st.text(st.one_of(st.sampled_from(',"\n '),
+                            st.characters(exclude_characters="\r\x00")))
+
+
+@given(st.lists(st.builds(TelemetryRecord, *[_RECORD_VALUES] * 6,
+                          event=st.just("") | _EVENTS), max_size=12))
+def test_export_telemetry_matches_csv_writer(log):
+    assert export_telemetry(log) == helpers.csv_writer_export(log)
+
+
+def test_telemetry_record_is_a_read_only_tuple():
+    record = TelemetryRecord(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+    assert (record.t, record.x, record.y, record.z, record.payload_mass,
+            record.battery_remaining, record.event) == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, "")
+    assert record == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, "")
+    assert record[6] == record.event == ""
+    with pytest.raises(AttributeError):
+        record.t = 0.0
+    with pytest.raises(AttributeError):
+        record.event = "LAND"
 
 
 def test_serialize_report_layout(n1_network, n1_packages):
