@@ -1,22 +1,14 @@
 """Single-drone multi-package delivery over skyway networks.
 
-The package splits into five pieces: ``graph`` (the rooftop network),
-``planner`` (release-order strategies), ``energy`` (payload-linear battery
-model), ``simulator`` (kinematic mission execution) and ``scenario``/``cli``
+The package splits into four pieces: ``graph`` (the rooftop network),
+``planner`` (release-order strategies), ``simulator`` (kinematic mission
+execution and its payload-linear energy model) and ``scenario``/``cli``
 (document I/O and the command-line front end).
 """
 from __future__ import annotations
 
 from . import errors
 from .cli import cli_main
-from .energy import (
-    BatteryState,
-    EnergyBreakdown,
-    LegEnergy,
-    consumption_rate,
-    drain,
-    leg_energy,
-)
 from .graph import (
     Node,
     Path,
@@ -54,12 +46,15 @@ from .simulator import (
     DEFAULT_RELEASE_DWELL,
     DEFAULT_TELEMETRY_STEP,
     CompareResult,
+    EnergyBreakdown,
+    LegEnergy,
     MissionReport,
     StrategyOutcome,
     StringRig,
     TelemetryLog,
     TelemetryRecord,
     compare_strategies,
+    consumption_rate,
     cruise_altitude,
     release_altitude,
     simulate_mission,
@@ -68,7 +63,6 @@ from .simulator import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BatteryState",
     "CompareResult",
     "DEFAULT_RELEASE_DWELL",
     "DEFAULT_TELEMETRY_STEP",
@@ -98,11 +92,9 @@ __all__ = [
     "compare_strategies",
     "consumption_rate",
     "cruise_altitude",
-    "drain",
     "errors",
     "export_telemetry",
     "generate_scenario",
-    "leg_energy",
     "optimal_order",
     "parse_scenario",
     "plan_ndf",

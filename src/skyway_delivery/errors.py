@@ -70,10 +70,6 @@ class NegativePayload(SkywayError):
     pass
 
 
-class NegativeDistance(SkywayError):
-    pass
-
-
 class BatteryDepleted(SkywayError):
     pass
 

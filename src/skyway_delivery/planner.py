@@ -111,14 +111,24 @@ def check_feasibility(drone: DroneConfig | None, packages: Sequence[Package],
     violations = []
     if total > capacity:
         violations.append(f"payload {total} kg exceeds capacity {capacity} kg")
-    if level_count is not None and len(packages) > level_count:
-        violations.append(f"{len(packages)} packages exceed {level_count} hanging levels")
+    if level_count is not None:
+        violation = level_violation(len(packages), level_count)
+        if violation is not None:
+            violations.append(violation)
     return FeasibilityReport(
         feasible=not violations,
         total_payload=total,
         capacity=capacity,
         violations=tuple(violations),
     )
+
+
+def level_violation(package_count: int, level_count: int) -> str | None:
+    """The rule that each package needs a hanging level of its own: its
+    violation, or None when the rig's ``level_count`` levels are enough."""
+    if package_count > level_count:
+        return f"{package_count} packages exceed the rig's {level_count} hanging levels"
+    return None
 
 
 def package_faults(index: int, package_id: str | None, destination: str | None,

@@ -15,7 +15,7 @@ from json.encoder import encode_basestring_ascii
 
 from .errors import InvalidParams, ScenarioSyntaxError, SkywayError, ValidationError
 from .graph import Node, SkywayNetwork, build_network, node_faults, segment_faults
-from .planner import DroneConfig, Package, package_faults
+from .planner import DroneConfig, Package, level_violation, package_faults
 from .rules import field_violations
 from .simulator import MissionReport, StringRig, TelemetryLog
 
@@ -233,10 +233,10 @@ def parse_scenario(text: str) -> Scenario:
 
     if source is not None and node_ids and source not in node_ids:
         problems.append(f"source: unknown node {source!r}")
-    if rig is not None and len(raw_packages) > rig.level_count:
-        problems.append(
-            f"packages: {len(raw_packages)} packages exceed the rig's "
-            f"{rig.level_count} hanging levels")
+    if rig is not None:
+        violation = level_violation(len(raw_packages), rig.level_count)
+        if violation is not None:
+            problems.append(f"packages: {violation}")
 
     if problems:
         raise ValidationError(problems)
@@ -317,8 +317,8 @@ def generate_scenario(node_count: int, package_count: int, seed: int,
             f"package_count {package_count} needs {package_count} distinct "
             f"destinations but only {node_count - 1} non-source nodes exist")
     width, height = area
-    if not width > 0 or not height > 0:
-        raise InvalidParams(f"area must be positive, got {area}")
+    if not 0 < width < math.inf or not 0 < height < math.inf:
+        raise InvalidParams(f"area must be positive and finite, got {area}")
 
     rng = random.Random(seed)
     pad = len(str(node_count))

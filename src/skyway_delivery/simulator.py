@@ -1,21 +1,23 @@
 """Kinematic mission execution: take-off, cruise, descend-release, return.
 
 Motion is sequential (vertical then horizontal) at piecewise-constant speed
-with instantaneous turns. Energy is charged per metre of 3D travel; hovering
-during the release dwell is free. ``compare_strategies`` flies the NDF and
-the exhaustive plan of one scenario side by side.
+with instantaneous turns. Energy is payload-linear: every metre of 3D travel
+costs ``consumption_rate`` joules, and hovering during the release dwell is
+free. The battery is one float that the flight spends down. ``compare_strategies``
+flies the NDF and the exhaustive plan of one scenario side by side.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Collection, NamedTuple, Sequence
 
-from .energy import BatteryState, EnergyBreakdown, LegEnergy, consumption_rate, drain
-from .errors import BatteryDepleted, InconsistentAssignment, InvalidLevel, NonFiniteLength
+from .errors import (BatteryDepleted, InconsistentAssignment, InvalidLevel, NegativePayload,
+                     NonFiniteLength, ValidationError)
 from .graph import Path, SkywayNetwork
 from .planner import (PLANNERS, DroneConfig, HangingAssignment, MissionPlan, Package,
-                      assign_levels, left_to_right_sum, plan_total_distance)
+                      assign_levels, left_to_right_sum, level_violation,
+                      plan_total_distance)
 from .rules import check_fields, positive
 
 if TYPE_CHECKING:
@@ -83,6 +85,39 @@ class TelemetryRecord(NamedTuple):
 TelemetryLog = list[TelemetryRecord]
 
 
+def consumption_rate(drone: DroneConfig, payload_mass: float) -> float:
+    """Joules per metre while carrying ``payload_mass`` kg of packages.
+
+    The airframe's own mass is a constant load and is already folded into
+    the drone's base rate. Two finite rates can add up to an infinite one;
+    such a drone cannot fly, so it raises ValidationError.
+    """
+    if payload_mass < 0:
+        raise NegativePayload(f"payload mass must be >= 0, got {payload_mass}")
+    rate = drone.base_rate + drone.payload_rate * payload_mass
+    if not math.isfinite(rate):
+        raise ValidationError([
+            f"drone: the consumption rate base_rate + payload_rate * {payload_mass} kg "
+            f"must be finite (got {rate})"])
+    return rate
+
+
+@dataclass(frozen=True)
+class LegEnergy:
+    """Energy spent on one plan leg flown at a constant payload."""
+
+    distance_3d: float
+    payload_mass: float
+    rate: float
+    energy: float
+
+
+@dataclass(frozen=True)
+class EnergyBreakdown:
+    legs: tuple[LegEnergy, ...]
+    total: float
+
+
 @dataclass(frozen=True)
 class MissionReport:
     completed: bool
@@ -94,7 +129,7 @@ class MissionReport:
 
 
 def cruise_altitude(network: SkywayNetwork, leg_path: Path, rig: StringRig,
-                    loaded_levels: set[int]) -> float:
+                    loaded_levels: Collection[int]) -> float:
     """Altitude that keeps the lowest hanging package clear of every rooftop
     under the leg, plus the rig's safety clearance."""
     highest = max(network.node(nid).rooftop_height for nid in leg_path.nodes)
@@ -108,14 +143,15 @@ def release_altitude(node, rig: StringRig, level: int) -> float:
 
 
 class _Flight:
-    """The one mutable flight state: position, clock, battery, payload, telemetry."""
+    """The one mutable flight state: position, clock, battery charge in
+    joules, payload, the current leg's joules per metre, telemetry."""
 
-    def __init__(self, x: float, y: float, z: float, drone: DroneConfig,
+    def __init__(self, x: float, y: float, z: float, battery: float,
                  payload_mass: float, telemetry_step: float):
         self.x, self.y, self.z = x, y, z
         self.clock = 0.0
-        self.battery = BatteryState(drone.battery_capacity, drone.battery_capacity)
-        self.drone = drone
+        self.battery = battery
+        self.rate = 0.0
         self.payload_mass = payload_mass
         self.step = telemetry_step
         self.records: TelemetryLog = []
@@ -125,39 +161,39 @@ class _Flight:
 
     def emit(self, event: str) -> None:
         self.records.append(TelemetryRecord(
-            self.clock, self.x, self.y, self.z, self.payload_mass,
-            self.battery.remaining, event))
+            self.clock, self.x, self.y, self.z, self.payload_mass, self.battery, event))
 
     def travel(self, x: float, y: float, z: float, speed: float) -> None:
         """Fly straight to (x, y, z).
 
-        When the battery dies en route the drone stops where it ran dry, an
-        ABORT record closes the telemetry and BatteryDepleted is raised.
+        Exact exhaustion is legal. When the move needs more than the charge
+        left, the drone flies the fraction the charge pays for and stops
+        there with 0.0 J, an ABORT record closes the telemetry and
+        BatteryDepleted is raised.
         """
         dist = math.dist((self.x, self.y, self.z), (x, y, z))
         if dist == 0.0:
             return
         if not math.isfinite(dist):
             raise NonFiniteLength(f"flight to ({x}, {y}, {z}) has no finite length")
-        rate = consumption_rate(self.drone, self.payload_mass)
-        try:
-            after = drain(self.battery, rate * dist)
-        except BatteryDepleted:
-            fraction = self.battery.remaining / (rate * dist)
-            self._advance(x, y, z, dist, speed, rate, fraction)
+        energy = self.rate * dist
+        if energy > self.battery:
+            fraction = self.battery / energy
+            self._advance(x, y, z, dist, speed, self.rate, fraction)
             self.x += (x - self.x) * fraction
             self.y += (y - self.y) * fraction
             self.z += (z - self.z) * fraction
             self.total_distance += dist * fraction
             self.leg_distance += dist * fraction
-            self.battery = BatteryState(self.battery.capacity, 0.0)
+            shortfall = f"need {energy} J but only {self.battery} J remaining"
+            self.battery = 0.0
             self.emit("ABORT")
-            raise
-        self._advance(x, y, z, dist, speed, rate, 1.0)
+            raise BatteryDepleted(shortfall)
+        self._advance(x, y, z, dist, speed, self.rate, 1.0)
         self.x, self.y, self.z = x, y, z  # land exactly on the target point
         self.total_distance += dist
         self.leg_distance += dist
-        self.battery = after
+        self.battery -= energy
 
     def hold(self, duration: float) -> None:
         """Hover in place, spending nothing: a move to the current point at
@@ -169,7 +205,7 @@ class _Flight:
         """Sample ``fraction`` of a move toward (x, y, z) on the step grid and
         move the clock to its end; the caller places the drone."""
         x0, y0, z0, t0 = self.x, self.y, self.z, self.clock
-        battery0 = self.battery.remaining
+        battery0 = self.battery
         t1 = t0 + dist * fraction / speed
         if not math.isfinite(t1):
             raise NonFiniteLength(f"move to ({x}, {y}, {z}) takes no finite time")
@@ -204,8 +240,9 @@ def _check_consistency(plan: MissionPlan, assignment: HangingAssignment,
     if assignment != assign_levels(plan):
         raise InconsistentAssignment(
             "assignment must hang the i-th released package at level i")
-    if len(order) > rig.level_count:
-        raise InvalidLevel(f"{len(order)} packages exceed the rig's {rig.level_count} levels")
+    violation = level_violation(len(order), rig.level_count)
+    if violation is not None:
+        raise InvalidLevel(violation)
 
 
 def simulate_mission(network: SkywayNetwork, plan: MissionPlan,
@@ -236,20 +273,17 @@ def simulate_mission(network: SkywayNetwork, plan: MissionPlan,
     for k in range(len(order) - 1, -1, -1):
         payload_after[k] = mass_of[order[k]] + payload_after[k + 1]
     source = network.node(plan.source)
-    flight = _Flight(source.x, source.y, source.rooftop_height, drone,
+    flight = _Flight(source.x, source.y, source.rooftop_height, drone.battery_capacity,
                      payload_after[0], telemetry_step)
     flight.emit("TAKEOFF")
 
-    # The i-th release hangs at level i, so the loaded levels are the ones
-    # above the releases made so far.
-    loaded_levels = set(range(1, len(order) + 1))
     releases: list[tuple[str, str, float]] = []
     leg_energies: list[LegEnergy] = []
     abort_reason: str | None = None
 
     for leg_number, leg in enumerate(plan.legs, start=1):
         leg_payload = flight.payload_mass
-        leg_rate = consumption_rate(drone, leg_payload)
+        flight.rate = leg_rate = consumption_rate(drone, leg_payload)
         flight.leg_distance = 0.0
         if leg.release is None and leg.path.total_length == 0.0:
             # Package-free mission: the drone never leaves the rooftop.
@@ -259,7 +293,10 @@ def simulate_mission(network: SkywayNetwork, plan: MissionPlan,
         try:
             if leg.release is None and order:
                 flight.emit("RETURN_LEG")
-            altitude = cruise_altitude(network, leg.path, rig, loaded_levels)
+            # The i-th release hangs at level i, so the loaded levels are the
+            # ones above the releases made so far.
+            altitude = cruise_altitude(network, leg.path, rig,
+                                       range(len(releases) + 1, len(order) + 1))
             dz = altitude - flight.z
             if dz != 0.0:
                 flight.emit("ASCEND" if dz > 0 else "DESCEND")
@@ -283,7 +320,6 @@ def simulate_mission(network: SkywayNetwork, plan: MissionPlan,
                 flight.payload_mass = payload_after[level]
                 flight.emit(f"RELEASE({leg.release})")
                 releases.append((leg.release, end_node.id, flight.clock))
-                loaded_levels.discard(level)
         except BatteryDepleted:
             abort_reason = f"battery depleted on leg {leg_number}"
             break

@@ -200,6 +200,31 @@ def test_gen_rejects_bad_params(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_gen_rejects_an_infinite_area(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "gen", "--nodes", "9", "--packages", "4",
+                             "--seed", "77", "--area", "inf", "500",
+                             "--out", str(tmp_path / "x.json"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: area")
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_overflowing_consumption_rate_exits_two(capsys, tmp_path, scenario_dir, command):
+    doc = json.loads((scenario_dir / "n1.json").read_text())
+    doc["drone"] = {"base_rate": 1e308, "payload_rate": 1e308}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    report = tmp_path / "report.json"
+    argv = [command, str(path)] + (["--report", str(report)] if command == "run" else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: drone: the consumption rate")
+    assert not report.exists()
+
+
 def test_missing_scenario_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "plan", str(tmp_path / "absent.json"))
     assert code == 2

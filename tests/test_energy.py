@@ -1,14 +1,43 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from skyway_delivery import BatteryState, DroneConfig, consumption_rate, drain, leg_energy
-from skyway_delivery.errors import BatteryDepleted, NegativeDistance, NegativePayload
+import helpers
+from skyway_delivery import (
+    DroneConfig,
+    StringRig,
+    assign_levels,
+    consumption_rate,
+    cruise_altitude,
+    generate_scenario,
+    plan_ndf,
+    simulate_mission,
+)
+from skyway_delivery.errors import NegativePayload, SkywayError, ValidationError
 
 masses = st.floats(min_value=0.0, max_value=20.0, allow_nan=False)
+
+
+def fly_n1(battery_capacity, telemetry_step=0.1):
+    network = helpers.build_n1()
+    packages = helpers.N1_PACKAGES
+    drone = dataclasses.replace(DroneConfig(), battery_capacity=battery_capacity)
+    plan = plan_ndf(network, "S", packages)
+    return simulate_mission(network, plan, assign_levels(plan), drone, StringRig(),
+                            packages, telemetry_step=telemetry_step)
+
+
+def n1_first_ascent():
+    """The n1 mission's first move: (climb in metres, joules it costs)."""
+    network = helpers.build_n1()
+    plan = plan_ndf(network, "S", helpers.N1_PACKAGES)
+    altitude = cruise_altitude(network, plan.legs[0].path, StringRig(), range(1, 4))
+    dz = altitude - network.node("S").rooftop_height
+    return dz, consumption_rate(DroneConfig(), 6.0) * dz
 
 
 def test_rate_grows_linearly_with_payload():
@@ -23,47 +52,17 @@ def test_rate_rejects_negative_payload():
         consumption_rate(DroneConfig(), -0.001)
 
 
-def test_leg_energy_example():
-    assert leg_energy(DroneConfig(), 1.2, 50.0) == pytest.approx(160.0)
-
-
-def test_leg_energy_zero_distance_is_free():
-    assert leg_energy(DroneConfig(), 5.0, 0.0) == 0.0
-
-
-def test_leg_energy_rejects_negative_distance():
-    with pytest.raises(NegativeDistance):
-        leg_energy(DroneConfig(), 1.0, -1.0)
-
-
-def test_drain_subtracts():
-    battery = drain(BatteryState(1000.0, 1000.0), 160.0)
-    assert battery.remaining == pytest.approx(840.0)
-    assert battery.capacity == 1000.0
-
-
-def test_drain_to_exactly_zero_is_legal():
-    battery = drain(BatteryState(100.0, 100.0), 100.0)
-    assert battery.remaining == 0.0
-
-
-def test_drain_overdraw_raises():
-    with pytest.raises(BatteryDepleted):
-        drain(BatteryState(100.0, 100.0), 100.001)
-
-
-def test_drain_rejects_negative_energy():
-    with pytest.raises(ValueError):
-        drain(BatteryState(100.0, 100.0), -1.0)
-
-
-def test_battery_state_bounds():
-    with pytest.raises(ValueError):
-        BatteryState(100.0, 101.0)
-    with pytest.raises(ValueError):
-        BatteryState(100.0, -1.0)
-    with pytest.raises(ValueError):
-        BatteryState(-5.0, 0.0)
+def test_overflowing_rate_is_a_validation_error():
+    # Each rate passes the DroneConfig rules, but their sum overflows.
+    drone = DroneConfig(base_rate=1e308, payload_rate=1e308)
+    with pytest.raises(ValidationError, match="consumption rate") as caught:
+        consumption_rate(drone, 1.0)
+    assert isinstance(caught.value, SkywayError) and isinstance(caught.value, ValueError)
+    network = helpers.build_n1()
+    plan = plan_ndf(network, "S", helpers.N1_PACKAGES)
+    with pytest.raises(ValidationError):
+        simulate_mission(network, plan, assign_levels(plan), drone, StringRig(),
+                         helpers.N1_PACKAGES)
 
 
 @given(masses, masses)
@@ -79,6 +78,65 @@ def test_rate_is_affine_in_payload(m1, m2):
 @given(masses, masses, st.floats(min_value=0.0, max_value=1e4, allow_nan=False))
 def test_energy_difference_scales_with_mass_gap(m1, m2, distance):
     drone = DroneConfig()
-    gap = leg_energy(drone, m2, distance) - leg_energy(drone, m1, distance)
+    gap = consumption_rate(drone, m2) * distance - consumption_rate(drone, m1) * distance
     assert math.isclose(
         gap, drone.payload_rate * distance * (m2 - m1), rel_tol=1e-9, abs_tol=1e-6)
+
+
+def test_battery_equal_to_the_ascent_ends_it_at_exactly_zero():
+    dz, energy = n1_first_ascent()
+    log, report = fly_n1(energy)
+    # The ascent is paid in full; the cruise that follows aborts at its start.
+    assert [record.event for record in log if record.event] == [
+        "TAKEOFF", "ASCEND", "CRUISE", "ABORT"]
+    cruise, abort = log[-2], log[-1]
+    assert cruise.battery_remaining == 0.0
+    assert (abort.t, abort.x, abort.y, abort.z) == (cruise.t, 0.0, 0.0, dz)
+    assert abort.battery_remaining == 0.0
+    assert report.abort_reason == "battery depleted on leg 1"
+    assert report.total_distance_3d == dz
+    assert report.energy.total == energy
+
+
+def test_battery_one_ulp_short_aborts_inside_the_ascent():
+    dz, energy = n1_first_ascent()
+    log, report = fly_n1(math.nextafter(energy, 0.0))
+    assert [record.event for record in log if record.event] == [
+        "TAKEOFF", "ASCEND", "ABORT"]
+    assert log[-1].battery_remaining == 0.0
+    assert 0.0 < log[-1].z < dz
+    assert report.end_position == (0.0, 0.0, log[-1].z)
+    assert report.total_distance_3d < dz
+    assert report.abort_reason == "battery depleted on leg 1"
+
+
+def test_report_leg_energy_is_rate_times_distance_bit_for_bit():
+    flights = aborted = 0
+    for seed in range(40):
+        scenario = generate_scenario(4 + seed % 8, 1 + seed % 3, seed=seed)
+        plan = plan_ndf(scenario.network, scenario.source, scenario.packages,
+                        drone=scenario.drone, level_count=scenario.rig.level_count)
+        for battery in (50_000.0, 300.0 + 97.0 * seed):
+            drone = dataclasses.replace(scenario.drone, battery_capacity=battery)
+            _, report = simulate_mission(scenario.network, plan, assign_levels(plan),
+                                         drone, scenario.rig, scenario.packages,
+                                         telemetry_step=math.inf)
+            flights += 1
+            aborted += not report.completed
+            for leg in report.energy.legs:
+                assert leg.rate == consumption_rate(drone, leg.payload_mass)
+                assert leg.energy == leg.rate * leg.distance_3d
+    assert flights == 80 and 0 < aborted < flights
+
+
+@settings(max_examples=60)
+@given(st.floats(min_value=1e-9, max_value=2000.0, allow_nan=False))
+def test_battery_never_goes_negative_and_abort_reads_zero(battery):
+    log, report = fly_n1(battery, telemetry_step=0.5)
+    for record in log:
+        assert 0.0 <= record.battery_remaining <= battery
+    if report.completed:
+        assert log[-1].event == "LAND"
+    else:
+        assert log[-1].event == "ABORT"
+        assert log[-1].battery_remaining == 0.0

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -13,20 +14,25 @@ from skyway_delivery import (
     MissionPlan,
     Package,
     Path,
+    StringRig,
     assign_levels,
     build_network,
     check_feasibility,
     optimal_order,
+    parse_scenario,
     plan_ndf,
     plan_optimal,
     plan_total_distance,
     shortest_paths_from,
+    simulate_mission,
 )
 from skyway_delivery.errors import (
     InfeasiblePayload,
+    InvalidLevel,
     InvalidPackage,
     TooManyPackagesForExhaustive,
     UnknownDestination,
+    ValidationError,
 )
 from skyway_delivery.planner import _nearest_first
 
@@ -55,7 +61,23 @@ def test_feasibility_overweight():
 def test_feasibility_too_many_for_levels(n1_packages):
     report = check_feasibility(DroneConfig(), n1_packages, level_count=2)
     assert not report.feasible
-    assert report.violations == ("3 packages exceed 2 hanging levels",)
+    assert report.violations == ("3 packages exceed the rig's 2 hanging levels",)
+
+
+def test_level_rule_reads_the_same_in_planner_parser_and_simulator(
+        n1_network, n1_packages, scenario_dir):
+    text = "3 packages exceed the rig's 2 hanging levels"
+    assert check_feasibility(None, n1_packages, level_count=2).violations == (text,)
+    doc = json.loads((scenario_dir / "n1.json").read_text())
+    doc["rig"] = {"levels": [2.0, 1.0]}
+    with pytest.raises(ValidationError) as parsed:
+        parse_scenario(json.dumps(doc))
+    assert parsed.value.violations == ("packages: " + text,)
+    plan = plan_ndf(n1_network, "S", n1_packages)
+    with pytest.raises(InvalidLevel) as flown:
+        simulate_mission(n1_network, plan, assign_levels(plan), DroneConfig(),
+                         StringRig(levels=(2.0, 1.0)), n1_packages)
+    assert str(flown.value) == text
 
 
 def test_package_validation():

@@ -335,6 +335,8 @@ def test_generation_parameter_validation():
         generate_scenario(node_count=3, package_count=3, seed=0)
     with pytest.raises(InvalidParams):
         generate_scenario(node_count=3, package_count=1, seed=0, area=(0.0, 10.0))
+    with pytest.raises(InvalidParams, match="area"):
+        generate_scenario(node_count=3, package_count=1, seed=0, area=(math.inf, 10.0))
 
 
 def test_export_telemetry_empty_log():
