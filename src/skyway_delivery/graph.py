@@ -171,34 +171,74 @@ def build_network(node_specs: Iterable[Node | tuple],
 
 def shortest_paths_from(network: SkywayNetwork, source: str,
                         targets: Iterable[str] | None = None) -> dict[str, Path]:
-    """Dijkstra from ``source``: the shortest path to every node it settles.
+    """Dijkstra from ``source``: the shortest path to each target, or to every
+    node without ``targets``.
 
-    Heap entries carry the full node sequence so that equal-length paths
-    resolve to the lexicographically smallest sequence. With ``targets`` the
-    search stops once every target is settled; a settled path is final, so
-    each returned path is the one a full run would give. Without it, every
-    node is settled. Raises UnknownNode for an unknown source or target.
+    Of the paths of equal length (bit for bit) it returns the one whose node
+    sequence is lexicographically smallest. Each node keeps only its distance
+    and its predecessor, and on an exactly equal tentative distance the two
+    full walks decide. A segment shorter than half an ulp of the distance so
+    far leaves the sum unchanged, so the nodes at the popped distance form
+    one batch that settles smallest walk first, and a node reached at that
+    distance again joins the batch. With ``targets`` the search ends once
+    each target is settled and returns exactly the targets' paths. Raises
+    UnknownNode for an unknown source or target.
     """
     network.node(source)
-    pending = None if targets is None else set(targets)
-    for target in pending or ():
-        network.node(target)
-    best: dict[str, Path] = {}
-    heap: list[tuple[float, tuple[str, ...]]] = [(0.0, (source,))]
-    while heap:
-        dist, walk = heapq.heappop(heap)
-        tail = walk[-1]
-        if tail in best:
+    if targets is not None:
+        targets = list(dict.fromkeys(targets))
+        for target in targets:
+            network.node(target)
+    adjacency = network.adjacency
+    pending = set(adjacency if targets is None else targets)
+    push, pop = heapq.heappush, heapq.heappop
+    dist = {source: 0.0}
+    prev: dict[str, str | None] = {source: None}
+    settled: dict[str, None] = {}  # in settling order
+    heap = [(0.0, source)]
+    while heap and pending:
+        d, node = pop(heap)
+        if node in settled:
             continue
-        best[tail] = Path(walk, dist)
-        if pending is not None:
-            pending.discard(tail)
-            if not pending:
-                break
-        for neighbour, length in network.adjacency[tail]:
-            if neighbour not in best:
-                heapq.heappush(heap, (dist + length, walk + (neighbour,)))
-    return best
+        if heap and heap[0][0] == d:
+            # The batch at d: settle its smallest walk, put the rest back.
+            batch = [node]
+            while heap and heap[0][0] == d:
+                other = pop(heap)[1]
+                if other not in settled:
+                    batch.append(other)
+            node = min(batch, key=lambda n: _walk(prev, n))
+            for other in batch:
+                if other != node:
+                    push(heap, (d, other))
+        settled[node] = None
+        pending.discard(node)
+        for neighbour, length in adjacency[node]:
+            reach = d + length
+            known = dist.get(neighbour)
+            if known is None or reach < known:
+                dist[neighbour] = reach
+                prev[neighbour] = node
+                push(heap, (reach, neighbour))
+            elif (reach == known and neighbour not in settled
+                  and _walk(prev, node) + (neighbour,) < _walk(prev, neighbour)):
+                prev[neighbour] = node
+    if targets is not None:
+        return {target: Path(_walk(prev, target), dist[target]) for target in targets}
+    walks: dict[str, tuple[str, ...]] = {}
+    for node in settled:
+        before = prev[node]
+        walks[node] = (node,) if before is None else walks[before] + (node,)
+    return {node: Path(walk, dist[node]) for node, walk in walks.items()}
+
+
+def _walk(prev: dict[str, str | None], node: str) -> tuple[str, ...]:
+    """The node sequence from the source to ``node`` along ``prev`` links."""
+    walk = []
+    while node is not None:
+        walk.append(node)
+        node = prev[node]
+    return tuple(reversed(walk))
 
 
 def stop_matrix(network: SkywayNetwork, stops: Iterable[str]) -> dict[str, dict[str, Path]]:
@@ -207,11 +247,7 @@ def stop_matrix(network: SkywayNetwork, stops: Iterable[str]) -> dict[str, dict[
     One Dijkstra per distinct stop, each ending once every stop is settled.
     """
     distinct = sorted(set(stops))
-    matrix = {}
-    for stop in distinct:
-        paths = shortest_paths_from(network, stop, distinct)
-        matrix[stop] = {other: paths[other] for other in distinct}
-    return matrix
+    return {stop: shortest_paths_from(network, stop, distinct) for stop in distinct}
 
 
 def shortest_path(network: SkywayNetwork, start: str, goal: str) -> Path:

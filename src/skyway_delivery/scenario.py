@@ -319,6 +319,18 @@ def generate_scenario(node_count: int, package_count: int, seed: int,
     width, height = area
     if not 0 < width < math.inf or not 0 < height < math.inf:
         raise InvalidParams(f"area must be positive and finite, got {area}")
+    # uniform(0, side) is side * random(), and random() is at most 1 - 2**-53,
+    # so a coordinate rounded to 0.01 m takes the values from 0.00 up to the
+    # rounding of side * (1 - 2**-53). A side of node_count metres already
+    # has enough of them; capping it there keeps the count finite.
+    positions = 1
+    for side in area:
+        top = round(min(side, node_count) * (1 - 2**-53), 2)
+        positions *= round(top * 100) + 1
+    if positions < node_count:
+        raise InvalidParams(
+            f"area {area} has only {positions} distinct positions at 0.01 m "
+            f"for {node_count} nodes")
 
     rng = random.Random(seed)
     pad = len(str(node_count))

@@ -178,7 +178,9 @@ class _Flight:
             raise NonFiniteLength(f"flight to ({x}, {y}, {z}) has no finite length")
         energy = self.rate * dist
         if energy > self.battery:
-            fraction = self.battery / energy
+            # rate * dist overflows for a finite move longer than about 1e307 m.
+            fraction = (self.battery / energy if energy < math.inf
+                        else self.battery / self.rate / dist)
             self._advance(x, y, z, dist, speed, self.rate, fraction)
             self.x += (x - self.x) * fraction
             self.y += (y - self.y) * fraction

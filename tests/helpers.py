@@ -2,15 +2,17 @@
 
 The oracles deliberately avoid the library's own algorithms: path minima come
 from exhaustive DFS over simple paths, so Dijkstra has something independent
-to agree with, and optimal release orders from scoring every permutation,
-so the Held–Karp planner does. The telemetry CSV and the scenario document
-come from the standard library's general writers, ``csv.writer`` and
-``json.dumps``, which the library's hand-built formats must match byte for
-byte.
+to agree with; exact tie-breaking comes from a Dijkstra whose heap entries
+carry whole walks, so the predecessor-link one does; and optimal release
+orders come from scoring every permutation, so the Held–Karp planner does.
+The telemetry CSV and the scenario document come from the standard
+library's general writers, ``csv.writer`` and ``json.dumps``, which the
+library's hand-built formats must match byte for byte.
 """
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 import itertools
 import json
@@ -19,7 +21,7 @@ from dataclasses import asdict
 
 from hypothesis import strategies as st
 
-from skyway_delivery import Package, SkywayNetwork, build_network, generate_scenario
+from skyway_delivery import Package, Path, SkywayNetwork, build_network, generate_scenario
 
 N1_NODE_SPECS = [
     ("S", 0.0, 0.0, 0.0),
@@ -96,6 +98,56 @@ def generated_networks(max_nodes: int = 30):
     """Networks of ``generate_scenario``: random positions, a spanning tree and extras."""
     return st.builds(lambda count, seed: generate_scenario(count, 0, seed).network,
                      st.integers(2, max_nodes), st.integers(0, 10**6))
+
+
+@st.composite
+def half_ulp_networks(draw):
+    """A source at (0, 0) and 3-6 nodes at x = 1e16, where one ulp is 2 m.
+
+    Their y values lie within 1.25 m of each other, so a segment between two
+    of them is shorter than half an ulp of the distance so far (or only just
+    longer), and flying it often leaves the float sum unchanged. Ids are
+    shuffled so that id order and position order disagree.
+    """
+    count = draw(st.integers(3, 6))
+    ys = draw(st.lists(st.integers(0, 125), min_size=count, max_size=count, unique=True))
+    ids = draw(st.permutations([chr(ord("a") + i) for i in range(count + 1)]))
+    specs = [(ids[0], 0.0, 0.0, 0.0)]
+    specs += [(node_id, 1e16, y / 100, 0.0) for node_id, y in zip(ids[1:], ys)]
+    pairs = {tuple(sorted((ids[i], ids[draw(st.integers(0, i - 1))])))
+             for i in range(1, count + 1)}
+    extras = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
+                           max_size=8))
+    pairs |= {tuple(sorted(pair)) for pair in extras if pair[0] != pair[1]}
+    return build_network(specs, sorted(pairs))
+
+
+def walk_tuple_shortest_paths(network: SkywayNetwork, source: str,
+                              targets=None) -> dict[str, Path]:
+    """Dijkstra whose heap entries carry the full node sequence, so that
+    equal-length paths resolve to the lexicographically smallest sequence by
+    tuple comparison alone; the oracle for ``shortest_paths_from``.
+
+    With ``targets`` it stops once every target is settled and returns every
+    node it settled on the way.
+    """
+    pending = None if targets is None else set(targets)
+    best: dict[str, Path] = {}
+    heap: list[tuple[float, tuple[str, ...]]] = [(0.0, (source,))]
+    while heap:
+        dist, walk = heapq.heappop(heap)
+        tail = walk[-1]
+        if tail in best:
+            continue
+        best[tail] = Path(walk, dist)
+        if pending is not None:
+            pending.discard(tail)
+            if not pending:
+                break
+        for neighbour, length in network.adjacency[tail]:
+            if neighbour not in best:
+                heapq.heappush(heap, (dist + length, walk + (neighbour,)))
+    return best
 
 
 def best_simple_paths(network: SkywayNetwork, source: str):

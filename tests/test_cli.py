@@ -10,6 +10,7 @@ from skyway_delivery import (
     EXHAUSTIVE_PACKAGE_CAP,
     generate_scenario,
     parse_scenario,
+    plan_ndf,
     serialize_scenario,
     simulate_mission,
 )
@@ -130,6 +131,33 @@ def test_run_aborted_mission_exits_one(capsys, scenario_dir, tmp_path):
     assert "completed: no (battery depleted on leg 1)" in out
 
 
+def test_an_overflowing_move_aborts_partway_along_it(capsys, tmp_path):
+    # Nodes lie about 1e307 m apart, so rate * length overflows to inf J.
+    path = tmp_path / "far.json"
+    assert run_cli(capsys, "gen", "--nodes", "5", "--packages", "2", "--seed", "1",
+                   "--area", "1e308", "1e308", "--out", str(path))[0] == 0
+    telemetry, report_path = tmp_path / "far.csv", tmp_path / "far.report.json"
+    code, out, _ = run_cli(capsys, "run", str(path), "--telemetry", str(telemetry),
+                           "--report", str(report_path))
+    assert code == 1
+    assert "completed: no (battery depleted on leg 1)" in out
+    rows = [line.split(",") for line in telemetry.read_text().splitlines()[1:]]
+    t = {row[6]: float(row[0]) for row in rows if row[6]}
+    assert list(t) == ["TAKEOFF", "ASCEND", "CRUISE", "ABORT"]
+    scenario = parse_scenario(path.read_text())
+    first_hop = plan_ndf(scenario.network, scenario.source,
+                         scenario.packages).legs[0].path.nodes[:2]
+    length = math.dist(*((node.x, node.y) for node in map(scenario.network.node, first_hop)))
+    flown = (t["ABORT"] - t["CRUISE"]) * scenario.drone.cruise_speed
+    assert 9000.0 < flown < length
+    report = json.loads(report_path.read_text())
+    assert report["total_distance_3d"] == pytest.approx(
+        t["CRUISE"] * scenario.drone.vertical_speed + flown)
+    drained = float(rows[0][5]) - float(rows[-1][5])
+    assert drained == scenario.drone.battery_capacity
+    assert report["energy"]["total"] == pytest.approx(drained, rel=1e-12)
+
+
 def test_infeasible_payload_exits_one(capsys, scenario_dir, tmp_path):
     scenario = parse_scenario((scenario_dir / "n1.json").read_text())
     heavy = dataclasses.replace(
@@ -203,6 +231,16 @@ def test_gen_rejects_bad_params(capsys, tmp_path):
 def test_gen_rejects_an_infinite_area(capsys, tmp_path):
     code, out, err = run_cli(capsys, "gen", "--nodes", "9", "--packages", "4",
                              "--seed", "77", "--area", "inf", "500",
+                             "--out", str(tmp_path / "x.json"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: area")
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_gen_rejects_an_area_too_small_for_its_nodes(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "gen", "--nodes", "5", "--packages", "2",
+                             "--seed", "1", "--area", "1e-3", "1e-3",
                              "--out", str(tmp_path / "x.json"))
     assert code == 2
     assert out == ""

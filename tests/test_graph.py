@@ -218,7 +218,7 @@ def test_targeted_run_settles_its_targets_with_the_full_run_paths(network, data)
 
 def test_targeted_run_stops_once_its_targets_are_settled(n1_network):
     assert shortest_paths_from(n1_network, "S", ["S"]) == {"S": Path(("S",), 0.0)}
-    assert set(shortest_paths_from(n1_network, "S", [])) == {"S"}
+    assert shortest_paths_from(n1_network, "S", []) == {}
 
 
 def test_unknown_target_raises(n1_network):
@@ -237,3 +237,17 @@ def test_stop_matrix_paths_equal_full_run_paths(network, data):
     for a in stops:
         full = shortest_paths_from(network, a)
         assert matrix[a] == {b: full[b] for b in stops}
+
+
+@given(st.one_of(helpers.generated_networks(), helpers.lattice_networks(),
+                 helpers.half_ulp_networks()), st.data())
+def test_shortest_paths_equal_the_walk_tuple_oracle(network, data):
+    ids = sorted(network.nodes)
+    for source in ids:
+        assert shortest_paths_from(network, source) == (
+            helpers.walk_tuple_shortest_paths(network, source))
+    source = data.draw(st.sampled_from(ids))
+    targets = data.draw(st.lists(st.sampled_from(ids), max_size=4))
+    oracle = helpers.walk_tuple_shortest_paths(network, source, targets)
+    assert shortest_paths_from(network, source, targets) == {
+        node_id: oracle[node_id] for node_id in set(targets)}

@@ -339,6 +339,25 @@ def test_generation_parameter_validation():
         generate_scenario(node_count=3, package_count=1, seed=0, area=(math.inf, 10.0))
 
 
+def test_generation_rejects_an_area_with_fewer_positions_than_nodes():
+    # Coordinates are rounded to 0.01 m: a 1 mm square holds one position.
+    with pytest.raises(InvalidParams, match="^area"):
+        generate_scenario(node_count=5, package_count=2, seed=1, area=(1e-3, 1e-3))
+    with pytest.raises(InvalidParams, match="^area"):
+        generate_scenario(node_count=5, package_count=2, seed=1, area=(0.01, 0.01))
+    # round(0.005, 2) is 0.01, but uniform(0, 0.005) stays below 0.005 and
+    # so always rounds to 0.00.
+    with pytest.raises(InvalidParams, match="^area"):
+        generate_scenario(node_count=2, package_count=1, seed=1, area=(0.005, 0.001))
+
+
+def test_generation_fills_a_tight_area():
+    # A 1 cm square holds exactly four positions: its corners.
+    scenario = generate_scenario(node_count=4, package_count=2, seed=1, area=(0.01, 0.01))
+    positions = {(node.x, node.y) for node in scenario.network.nodes.values()}
+    assert positions == {(0.0, 0.0), (0.0, 0.01), (0.01, 0.0), (0.01, 0.01)}
+
+
 def test_export_telemetry_empty_log():
     assert export_telemetry([]) == "t,x,y,z,payload_mass,battery_remaining,event\n"
 
