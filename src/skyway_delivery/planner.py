@@ -15,7 +15,7 @@ from .errors import (
     TooManyPackagesForExhaustive,
     UnknownDestination,
 )
-from .rules import check_fields, finite, non_empty, non_negative, positive
+from .rules import as_number, check_fields, finite, non_empty, non_negative, positive
 from .graph import Path, SkywayNetwork, stop_matrix
 
 # The largest manifest the Held–Karp planner takes: the largest that plans
@@ -260,7 +260,16 @@ def optimal_order(dist: Sequence[Sequence[float]]) -> tuple[tuple[int, ...], flo
 
     Building the order through least prefixes only would be wrong: a prefix
     that is not the least can still round to the minimal total.
+
+    Raises ValueError when ``dist`` is empty or not square, or holds an
+    entry that is not a number >= 0; +inf is one.
     """
+    if not dist or any(len(row) != len(dist) for row in dist):
+        raise ValueError("dist must be a non-empty square matrix")
+    for a, row in enumerate(dist):
+        for b, entry in enumerate(row):
+            if as_number(entry) is None or not entry >= 0:
+                raise ValueError(f"dist[{a}][{b}] must be a number >= 0 (got {entry!r})")
     n = len(dist) - 1
     if n == 0:
         return (), 0.0 + dist[0][0]

@@ -11,12 +11,12 @@ import json
 import math
 import random
 from dataclasses import MISSING, asdict, dataclass, fields
-from json.encoder import encode_basestring_ascii
+from json.encoder import encode_basestring_ascii as _json_string
 
 from .errors import InvalidParams, ScenarioSyntaxError, SkywayError, ValidationError
 from .graph import Node, SkywayNetwork, build_network, node_faults, segment_faults
 from .planner import DroneConfig, Package, level_violation, package_faults
-from .rules import field_violations
+from .rules import field_violations, non_empty
 from .simulator import MissionReport, StringRig, TelemetryLog
 
 _TOP_KEYS = {"label", "source", "nodes", "segments", "drone", "rig", "packages"}
@@ -33,62 +33,19 @@ class Scenario:
     label: str | None = None
 
 
-class _ShapeFault(Exception):
-    """A JSON value has the wrong type for its field."""
-
-
-# JSON gives numbers as int or float; type(True) is bool, so a bool is not one.
-_NUMBER_TYPES = (float, int)
-
-
-def _string(value) -> str:
-    if type(value) is not str or not value:
-        raise _ShapeFault("expected a non-empty string")
-    return value
-
-
-def _float(value: float | int) -> float:
-    """The JSON number as a float.
-
-    An integer too large for a float reads as ±inf, as the literal 1e999
-    does, so the field's rules report it at the field's locator.
-    """
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
-def _number(value) -> float:
-    if type(value) not in _NUMBER_TYPES:
-        raise _ShapeFault(f"expected a number, got {type(value).__name__}")
-    return _float(value)
-
-
-def _hangs(value) -> tuple[float, ...]:
-    if type(value) is not list:
-        raise _ShapeFault("expected a list of hang lengths")
-    # A hang that is not a number reads as NaN, which StringRig reports at its
-    # index like any other hang that is not a positive number.
-    return tuple(_float(hang) if type(hang) in _NUMBER_TYPES else math.nan for hang in value)
-
-
-# Field name, shape check and default of each constructor argument, read from
-# the dataclass annotations (strings under ``from __future__ import annotations``).
-_SHAPES = {"str": _string, "float": _number, "tuple[float, ...]": _hangs}
-_FIELDS = {cls: {f.name: (_SHAPES[f.type], f.default) for f in fields(cls)}
+# Each constructor argument's name and default. The type and value rules
+# are the class's own ``RULES``.
+_FIELDS = {cls: {f.name: f.default for f in fields(cls)}
            for cls in (Node, DroneConfig, StringRig, Package)}
 
 
-def _take(obj: dict, key: str, shape, locator: str, problems: list[str]):
-    if key not in obj:
-        problems.append(f"{locator}.{key}: missing")
+def _take(obj: dict, key: str, locator: str, problems: list[str]) -> str | None:
+    """The non-empty string ``obj[key]``, or None after reporting its fault."""
+    violation = f"{key}: missing" if key not in obj else non_empty(key, obj[key])
+    if violation is not None:
+        problems.append(f"{locator}.{violation}")
         return None
-    try:
-        return shape(obj[key])
-    except _ShapeFault as fault:
-        problems.append(f"{locator}.{key}: {fault}")
-        return None
+    return obj[key]
 
 
 def _reject_unknown(obj: dict, allowed, locator: str, problems: list[str]) -> None:
@@ -107,36 +64,32 @@ def _block(doc: dict, key: str, problems: list[str]) -> dict:
 
 
 def _build(cls, raw: dict, locator: str, problems: list[str]):
-    """Shape-check ``raw`` against the fields of ``cls`` and construct it.
+    """Construct ``cls`` from the fields in ``raw``.
 
-    Returns the object, or None when a field is missing, has the wrong type
-    or breaks one of the class's rules, plus the well-typed field values.
-    Shape faults and rule violations go to ``problems`` in the class's rule
-    order, each behind ``locator``.
+    Returns the object, or None when a field is missing or breaks one of the
+    class's rules, plus the values of the fields that broke none. Unknown
+    keys, missing fields and rule violations go to ``problems``, the last
+    two in the class's rule order, each behind ``locator``.
     """
-    shapes = _FIELDS[cls]
-    _reject_unknown(raw, shapes, locator, problems)
+    defaults = _FIELDS[cls]
+    _reject_unknown(raw, defaults, locator, problems)
     values: dict = {}
-    faults: dict[str, str] = {}
-    for name, (shape, default) in shapes.items():
+    missing: dict[str, str] = {}
+    for name, default in defaults.items():
         if name in raw:
-            try:
-                values[name] = shape(raw[name])
-            except _ShapeFault as fault:
-                faults[name] = f"{name}: {fault}"
+            values[name] = raw[name]
         elif default is MISSING:
-            faults[name] = f"{name}: missing"
+            missing[name] = f"{name}: missing"
         else:
             values[name] = default
-    if faults:
-        violations = field_violations(cls.RULES, values, faults)
-    else:
+    if not missing:
         try:
             return cls(*values.values()), values
-        except ValidationError as exc:
-            violations = exc.violations
-    problems.extend(f"{locator}.{violation}" for violation in violations)
-    return None, values
+        except ValidationError:
+            pass
+    found = field_violations(cls.RULES, values, missing)
+    problems.extend(f"{locator}.{violation}" for violation in found.values())
+    return None, {name: value for name, value in values.items() if name not in found}
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -144,14 +97,16 @@ def parse_scenario(text: str) -> Scenario:
 
     Raises ScenarioSyntaxError for malformed JSON and ValidationError (with
     one locator-bearing entry per problem) for anything schema-level. The
-    parser checks the document's shape; the value rules are the ones the
+    parser checks only the document's structure: objects, lists, unknown
+    and missing keys. Each field's type and value rules are the ones the
     constructors and ``build_network`` apply, collected for every item.
     """
     try:
         doc = json.loads(text)
-    except ValueError as exc:
-        # A JSONDecodeError, or an integer literal longer than the
-        # interpreter's digit limit for int conversion.
+    except (ValueError, RecursionError) as exc:
+        # A JSONDecodeError, an integer literal longer than the interpreter's
+        # digit limit for int conversion, or arrays or objects nested deeper
+        # than the decoder's recursion limit.
         raise ScenarioSyntaxError(f"invalid JSON: {exc}") from exc
 
     problems: list[str] = []
@@ -164,7 +119,7 @@ def parse_scenario(text: str) -> Scenario:
         problems.append("label: expected a string")
         label = None
 
-    source = _take(doc, "source", _string, "document", problems)
+    source = _take(doc, "source", "document", problems)
 
     # -- nodes ---------------------------------------------------------------
     nodes: list[Node] = []
@@ -199,8 +154,8 @@ def parse_scenario(text: str) -> Scenario:
             problems.append(f"{locator}: expected an object")
             continue
         _reject_unknown(raw, _SEGMENT_KEYS, locator, problems)
-        a = _take(raw, "a", _string, locator, problems)
-        b = _take(raw, "b", _string, locator, problems)
+        a = _take(raw, "a", locator, problems)
+        b = _take(raw, "b", locator, problems)
         if a is None or b is None:
             continue
         faults = segment_faults(i, a, b, node_ids, seen_pairs)
@@ -251,19 +206,11 @@ def parse_scenario(text: str) -> Scenario:
                     packages=tuple(packages), label=label)
 
 
-_NODE_JSON = ('    {\n      "id": %s,\n      "x": %s,\n      "y": %s,\n'
-              '      "rooftop_height": %s\n    }')
+# Every stored id is a str and every coordinate a finite float, which JSON
+# writes as its repr.
+_NODE_JSON = ('    {\n      "id": %s,\n      "x": %r,\n      "y": %r,\n'
+              '      "rooftop_height": %r\n    }')
 _SEGMENT_JSON = '    {\n      "a": %s,\n      "b": %s\n    }'
-
-
-def _json_string(value) -> str:
-    return encode_basestring_ascii(value) if type(value) is str else json.dumps(value)
-
-
-def _json_number(value) -> str:
-    if type(value) is float and math.isfinite(value):
-        return float.__repr__(value)
-    return json.dumps(value)
 
 
 def _json_items(items: list[str]) -> str:
@@ -276,12 +223,11 @@ def serialize_scenario(scenario: Scenario) -> str:
 
     The text is ``json.dumps(doc, indent=2)`` of the document. The node and
     segment lists, which grow with the network, are rendered item by item
-    with the encoder's C string and float routines rather than its
-    pure-Python indenting encoder.
+    with the encoder's C string routine and ``repr`` of each float rather
+    than its pure-Python indenting encoder.
     """
     network = scenario.network
-    nodes = [_NODE_JSON % (_json_string(node.id), _json_number(node.x), _json_number(node.y),
-                           _json_number(node.rooftop_height))
+    nodes = [_NODE_JSON % (_json_string(node.id), node.x, node.y, node.rooftop_height)
              for node in sorted(network.nodes.values(), key=lambda n: n.id)]
     segments = [_SEGMENT_JSON % (_json_string(seg.a), _json_string(seg.b))
                 for seg in network.segments]

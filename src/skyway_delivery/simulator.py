@@ -17,8 +17,8 @@ from .errors import (BatteryDepleted, InconsistentAssignment, InvalidLevel, Nega
 from .graph import Path, SkywayNetwork
 from .planner import (PLANNERS, DroneConfig, HangingAssignment, MissionPlan, Package,
                       assign_levels, left_to_right_sum, level_violation,
-                      plan_total_distance)
-from .rules import check_fields, positive
+                      package_faults, plan_total_distance)
+from .rules import as_number, check_fields, positive
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -29,12 +29,16 @@ _BOUNDARY_EPS = 1e-9          # samples this close to a phase edge are dropped
 
 
 def _hang_lengths(name, levels):
-    """Field rule: every hang finite and > 0, then strictly decreasing."""
-    for i, hang in enumerate(levels):
-        if not 0 < hang < math.inf:
+    """Field rule: a list or tuple of hangs, each a finite number > 0, then
+    strictly decreasing."""
+    if not isinstance(levels, (list, tuple)):
+        return f"{name}: expected a list of hang lengths"
+    hangs = list(map(as_number, levels))
+    for i, hang in enumerate(hangs):
+        if hang is None or not 0 < hang < math.inf:
             return f"{name}[{i}]: expected a positive number"
-    for i in range(1, len(levels)):
-        if not levels[i - 1] > levels[i]:
+    for i in range(1, len(hangs)):
+        if not hangs[i - 1] > hangs[i]:
             return f"{name}[{i}]: hang lengths must strictly decrease from level 1 up"
     return None
 
@@ -54,7 +58,6 @@ class StringRig:
     RULES = (("clearance", positive), ("levels", _hang_lengths))
 
     def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(self.levels))
         check_fields(self, self.RULES)
 
     @property
@@ -232,12 +235,17 @@ class _Flight:
 
 
 def _check_consistency(plan: MissionPlan, assignment: HangingAssignment,
-                       mass_of: dict[str, float], rig: StringRig) -> None:
+                       packages: Sequence[Package], rig: StringRig) -> None:
+    package_ids: set[str] = set()
+    for i, package in enumerate(packages):
+        faults = package_faults(i, package.id, None, None, (), package_ids)
+        if faults:
+            raise faults[0]
     order = plan.release_order
     for i, package_id in enumerate(order):
         if package_id in order[:i]:
             raise InconsistentAssignment(f"package {package_id!r} is released twice")
-        if package_id not in mass_of:
+        if package_id not in package_ids:
             raise InconsistentAssignment(f"released package {package_id!r} has no mass entry")
     if assignment != assign_levels(plan):
         raise InconsistentAssignment(
@@ -265,9 +273,9 @@ def simulate_mission(network: SkywayNetwork, plan: MissionPlan,
         raise ValueError("telemetry_step must be > 0")
     if not 0 <= release_dwell < math.inf:
         raise ValueError("release_dwell must be finite and >= 0")
+    _check_consistency(plan, assignment, packages, rig)
     mass_of = {p.id: p.mass for p in packages}
     order = plan.release_order
-    _check_consistency(plan, assignment, mass_of, rig)
 
     # Payload after k releases, built as suffix sums so the sequence is
     # non-negative throughout and ends at exactly 0.0.

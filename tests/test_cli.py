@@ -328,6 +328,16 @@ def test_non_utf8_scenario_file_exits_two(capsys, tmp_path, command):
     assert err == f"error: {path}: not UTF-8 text (invalid start byte at offset 0)\n"
 
 
+@pytest.mark.parametrize("command", ["plan", "run", "compare"])
+def test_deeply_nested_json_exits_two(capsys, tmp_path, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid JSON: ")
+
+
 # n1 with package p1 renamed; RELEASE(p1) is the only event the id reaches.
 # csv.writer quoted "\r" on Python 3.13 and refused NUL on 3.10; these bytes
 # are the ones it wrote on 3.11 and 3.12, and hold on every version.

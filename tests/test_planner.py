@@ -303,6 +303,26 @@ def test_optimal_order_without_stops():
     assert optimal_order([[0.0]]) == ((), 0.0)
 
 
+@pytest.mark.parametrize("dist, message", [
+    ([], "dist must be a non-empty square matrix"),
+    ([[0, 1, 2], [1, 0]], "dist must be a non-empty square matrix"),
+    ([[0, 1], [1]], "dist must be a non-empty square matrix"),
+    ([[0, math.nan], [math.nan, 0]], "dist[0][1] must be a number >= 0 (got nan)"),
+    ([[0, 1], [-1, 0]], "dist[1][0] must be a number >= 0 (got -1)"),
+    ([[0, 1], [-math.inf, 0]], "dist[1][0] must be a number >= 0 (got -inf)"),
+    ([[0, "1"], [1, 0]], "dist[0][1] must be a number >= 0 (got '1')"),
+    ([[0, True], [1, 0]], "dist[0][1] must be a number >= 0 (got True)"),
+])
+def test_optimal_order_rejects_a_malformed_matrix(dist, message):
+    with pytest.raises(ValueError) as excinfo:
+        optimal_order(dist)
+    assert str(excinfo.value) == message
+
+
+def test_optimal_order_takes_an_infinite_distance():
+    assert optimal_order([[0, math.inf], [math.inf, 0]]) == ((1,), math.inf)
+
+
 def test_nearest_first_breaks_a_tie_toward_the_smaller_stop():
     # Stops 2 and 3 are equally near the start, then 1 and 3 from stop 2.
     dist = [[0, 5, 2, 2], [5, 0, 1, 4], [2, 1, 0, 1], [2, 4, 1, 0]]

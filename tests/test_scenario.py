@@ -100,6 +100,12 @@ def test_malformed_json():
         parse_scenario("{not json")
 
 
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"nodes": ' * 100_000])
+def test_json_nested_past_the_decoder_limit_is_a_syntax_error(text):
+    with pytest.raises(ScenarioSyntaxError, match="^invalid JSON: "):
+        parse_scenario(text)
+
+
 def test_top_level_must_be_object():
     assert violations_of("[1, 2]") == [
         "document: expected a JSON object at the top level"]

@@ -29,7 +29,7 @@ from skyway_delivery import (
     shortest_path,
     simulate_mission,
 )
-from skyway_delivery.errors import InconsistentAssignment, InvalidLevel
+from skyway_delivery.errors import InconsistentAssignment, InvalidLevel, InvalidPackage
 from skyway_delivery.simulator import release_altitude
 
 
@@ -425,3 +425,12 @@ def test_a_package_released_twice_is_inconsistent(n1_network, n1_packages):
     with pytest.raises(InconsistentAssignment, match="twice"):
         simulate_mission(n1_network, twice, assign_levels(twice), DroneConfig(),
                          StringRig(), n1_packages)
+
+
+def test_a_repeated_package_id_is_rejected(n1_network, n1_packages):
+    plan = plan_ndf(n1_network, "S", n1_packages)
+    packages = [*n1_packages, Package("p1", 100.0, "A")]
+    with pytest.raises(InvalidPackage) as excinfo:
+        simulate_mission(n1_network, plan, assign_levels(plan), DroneConfig(),
+                         StringRig(), packages)
+    assert str(excinfo.value) == "packages[3].id: duplicate package id 'p1'"

@@ -1,7 +1,9 @@
 """Field rules: each constructor reports every bad field in one ValidationError.
 
 The scenario parser reports the same violations behind the field's document
-path, so a value gets the same verdict from the library and from a document.
+path, so a value gets the same verdict from the library and from a document,
+whether it is a bad number or not a number at all. A number is stored as a
+float, so int and float inputs give the same bytes.
 """
 from __future__ import annotations
 
@@ -12,8 +14,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from skyway_delivery import DroneConfig, Node, Package, StringRig, parse_scenario
+import helpers
+from skyway_delivery import (
+    DroneConfig,
+    Node,
+    Package,
+    StringRig,
+    assign_levels,
+    build_network,
+    export_telemetry,
+    parse_scenario,
+    plan_ndf,
+    serialize_report,
+    serialize_scenario,
+    simulate_mission,
+)
 from skyway_delivery.errors import SkywayError, ValidationError
+from skyway_delivery.scenario import Scenario
 
 TWO_NODES = {
     "source": "S",
@@ -27,21 +44,42 @@ values = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308,
                      5e-324, 1.0, 2.5]),
+    st.integers(-3, 3),
+    # Not numbers, and ints too large for a float, which read as ±inf.
+    st.sampled_from([True, False, None, 10 ** 400, -10 ** 400, 10 ** 401 + 7]),
+    st.text(max_size=2),
 )
-hang_lists = st.lists(values, max_size=4)
+hang_lists = st.one_of(st.lists(values, max_size=4), values)
+
+
+def number(value):
+    """The float a field stores for ``value``, or None when it is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def is_finite(value):
+    return number(value) is not None and math.isfinite(number(value))
 
 
 def is_finite_at_least_zero(value):
-    return math.isfinite(value) and value >= 0
+    return is_finite(value) and number(value) >= 0
 
 
 def is_finite_above_zero(value):
-    return math.isfinite(value) and value > 0
+    return is_finite(value) and number(value) > 0
 
 
 def is_valid_hang_list(levels):
-    return (all(0 < hang < math.inf for hang in levels)
-            and all(a > b for a, b in zip(levels, levels[1:])))
+    if not isinstance(levels, list):
+        return False
+    hangs = [number(hang) for hang in levels]
+    return (all(hang is not None and 0 < hang < math.inf for hang in hangs)
+            and all(a > b for a, b in zip(hangs, hangs[1:])))
 
 
 def verdict(make):
@@ -77,7 +115,7 @@ def with_two_nodes(**extra):
 
 @given(values, values, values)
 def test_node_names_exactly_the_bad_fields(x, y, height):
-    expected = [name for name, ok in (("x", math.isfinite(x)), ("y", math.isfinite(y)),
+    expected = [name for name, ok in (("x", is_finite(x)), ("y", is_finite(y)),
                                       ("rooftop_height", is_finite_at_least_zero(height)))
                 if not ok]
     assert verdict(lambda: Node("n", x, y, height)) == expected
@@ -113,10 +151,10 @@ def test_string_rig_names_exactly_the_bad_fields(levels, clearance):
     expected = [name for name, ok in (("clearance", is_finite_above_zero(clearance)),
                                       ("levels", is_valid_hang_list(levels)))
                 if not ok]
-    assert verdict(lambda: StringRig(tuple(levels), clearance)) == expected
+    assert verdict(lambda: StringRig(levels, clearance)) == expected
     text = with_two_nodes(rig={"levels": levels, "clearance": clearance})
     assert document_violations(text) == [
-        f"rig.{v}" for v in constructor_violations(lambda: StringRig(tuple(levels), clearance))]
+        f"rig.{v}" for v in constructor_violations(lambda: StringRig(levels, clearance))]
 
 
 def test_validation_error_is_a_value_error_and_a_skyway_error():
@@ -159,3 +197,62 @@ def test_package_reports_a_non_finite_mass_before_and_a_negative_mass_after_dest
 def test_node_stores_negative_zero_as_zero(field):
     node = Node("n", **{"x": 1.0, "y": 1.0, "rooftop_height": 1.0, field: -0.0})
     assert math.copysign(1.0, getattr(node, field)) == 1.0
+
+
+ONE_NODE = {"source": "n", "nodes": [{"id": "n", "x": 0.0, "y": 0.0}]}
+
+
+@pytest.mark.parametrize("make, document, violation", [
+    (lambda: Node("n", True, 0.0), dict(ONE_NODE, nodes=[{"id": "n", "x": True, "y": 0.0}]),
+     "nodes[0].x: expected a number, got bool"),
+    (lambda: Node(5, 0.0, 0.0), dict(ONE_NODE, nodes=[{"id": 5, "x": 0.0, "y": 0.0}]),
+     "nodes[0].id: expected a non-empty string"),
+    (lambda: DroneConfig(max_payload="5"), dict(TWO_NODES, drone={"max_payload": "5"}),
+     "drone.max_payload: expected a number, got str"),
+    (lambda: StringRig(levels="abc"), dict(TWO_NODES, rig={"levels": "abc"}),
+     "rig.levels: expected a list of hang lengths"),
+    (lambda: StringRig(levels=(3.0, None)), dict(TWO_NODES, rig={"levels": [3.0, None]}),
+     "rig.levels[1]: expected a positive number"),
+    (lambda: Package("p", "1", "T"),
+     dict(TWO_NODES, packages=[{"id": "p", "mass": "1", "destination": "T"}]),
+     "packages[0].mass: expected a number, got str"),
+])
+def test_a_type_fault_reads_the_same_from_the_library_and_a_document(make, document,
+                                                                       violation):
+    assert constructor_violations(make) == [violation.split(".", 1)[1]]
+    assert document_violations(json.dumps(document)) == [violation]
+
+
+def test_numbers_are_stored_as_floats():
+    node = Node("n", 1, 2, 3)
+    assert (node.x, node.y, node.rooftop_height) == (1.0, 2.0, 3.0)
+    assert all(type(value) is float for value in (node.x, node.y, node.rooftop_height))
+    assert type(DroneConfig(max_payload=5).max_payload) is float
+    assert type(Package("p", 1, "T").mass) is float
+    rig = StringRig([3, 2, 1], 1)
+    assert rig.levels == (3.0, 2.0, 1.0)
+    assert all(type(value) is float for value in (*rig.levels, rig.clearance))
+
+
+def fly(scenario):
+    plan = plan_ndf(scenario.network, scenario.source, scenario.packages,
+                    drone=scenario.drone, level_count=scenario.rig.level_count)
+    log, report = simulate_mission(scenario.network, plan, assign_levels(plan),
+                                   scenario.drone, scenario.rig, scenario.packages)
+    return serialize_scenario(scenario), serialize_report(report), export_telemetry(log)
+
+
+def test_int_numbers_give_the_same_bytes_as_floats():
+    def n1_scenario(num):
+        nodes = [(nid, num(x), num(y), num(h)) for nid, x, y, h in helpers.N1_NODE_SPECS]
+        return Scenario(
+            network=build_network(nodes, helpers.N1_SEGMENT_SPECS),
+            source="S",
+            drone=DroneConfig(num(1), num(16), num(50_000), num(10), num(2), num(2), num(1)),
+            rig=StringRig([num(3), num(2), num(1)], num(1)),
+            packages=tuple(Package(p.id, num(p.mass), p.destination)
+                           for p in helpers.N1_PACKAGES))
+
+    with_ints, with_floats = fly(n1_scenario(int)), fly(n1_scenario(float))
+    assert with_ints == with_floats
+    assert '"end_position": [\n    0.0,' in with_ints[1]
