@@ -8,8 +8,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import starmap
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import (
     DisconnectedNetwork,
@@ -20,6 +19,7 @@ from .errors import (
     SkywayError,
     UnknownEndpoint,
     UnknownNode,
+    ValidationError,
     ZeroLengthSegment,
 )
 from .rules import check_fields, finite, non_empty, non_negative
@@ -49,8 +49,7 @@ class Node:
                     object.__setattr__(self, name, 0.0)
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """An undirected flight corridor; endpoints are stored with a < b."""
 
     a: str
@@ -115,36 +114,63 @@ def build_network(node_specs: Iterable[Node | tuple],
                   segment_specs: Iterable[tuple[str, str]]) -> SkywayNetwork:
     """Validate node/segment specs and assemble a connected network.
 
-    ``node_specs`` holds Node objects or (id, x, y, rooftop_height) tuples,
-    ``segment_specs`` (a, b) endpoint pairs. Raises the first fault that
+    ``node_specs`` holds Node objects or (id, x, y[, rooftop_height]) tuples,
+    ``segment_specs`` (a, b) endpoint pairs. Raises the first fault it finds,
+    behind a ``nodes[i]`` or ``segments[i]`` locator: a ValidationError for a
+    spec of the wrong shape or a field that breaks its rule, or the fault
     ``node_faults`` or ``segment_faults`` finds (DuplicateNodeId,
-    UnknownEndpoint, SelfLoopSegment or DuplicateSegment, with a ``nodes[i]``
-    or ``segments[i]`` locator), then ZeroLengthSegment, NonFiniteLength or
-    DisconnectedNetwork as appropriate.
+    UnknownEndpoint, SelfLoopSegment or DuplicateSegment); then
+    ZeroLengthSegment, NonFiniteLength or DisconnectedNetwork as appropriate.
     """
     nodes: dict[str, Node] = {}
     for i, spec in enumerate(node_specs):
-        node = spec if isinstance(spec, Node) else Node(*spec)
-        faults = node_faults(i, node.id, nodes)
+        if not isinstance(spec, Node):
+            if not isinstance(spec, (tuple, list)) or len(spec) not in (3, 4):
+                raise ValidationError(
+                    [f"nodes[{i}]: expected a Node or an (id, x, y[, rooftop_height]) tuple"])
+            try:
+                spec = Node(*spec)
+            except ValidationError as exc:
+                raise ValidationError(f"nodes[{i}].{v}" for v in exc.violations) from exc
+        faults = node_faults(i, spec.id, nodes)
         if faults:
             raise faults[0]
-        nodes[node.id] = node
+        nodes[spec.id] = spec
     if not nodes:
         raise ValueError("a network needs at least one node")
 
-    rows: list[tuple[str, str, float]] = []
+    pairs: list[tuple[str, str]] = []
     seen_pairs: set[tuple[str, str]] = set()
-    positions = {node.id: (node.x, node.y) for node in nodes.values()}
-    for i, (a, b) in enumerate(segment_specs):
+    for i, spec in enumerate(segment_specs):
+        if not isinstance(spec, (tuple, list)) or len(spec) != 2:
+            raise ValidationError([f"segments[{i}]: expected an (a, b) pair"])
+        a, b = spec
+        violations = [v for v in (non_empty(f"segments[{i}].a", a),
+                                  non_empty(f"segments[{i}].b", b)) if v]
+        if violations:
+            raise ValidationError(violations)
         faults = segment_faults(i, a, b, nodes, seen_pairs)
         if faults:
             raise faults[0]
+        pairs.append((a, b))
+    return _assemble(nodes, pairs)
+
+
+def _assemble(nodes: dict[str, Node], pairs: Iterable[tuple[str, str]]) -> SkywayNetwork:
+    """The connected network of checked input: ``nodes`` maps each id to its
+    Node, ``pairs`` holds each segment's endpoints, two distinct known ids,
+    no pair twice. Raises ZeroLengthSegment, NonFiniteLength or
+    DisconnectedNetwork.
+    """
+    rows: list[Segment] = []
+    positions = {node.id: (node.x, node.y) for node in nodes.values()}
+    for a, b in pairs:
         length = math.dist(positions[a], positions[b])
         if length == 0.0:
             raise ZeroLengthSegment(f"segment {a!r}-{b!r} joins coincident positions")
         if length == math.inf:
             raise NonFiniteLength(f"segment {a!r}-{b!r} is too long: its length overflows")
-        rows.append((a, b, length) if a < b else (b, a, length))
+        rows.append(Segment(a, b, length) if a < b else Segment(b, a, length))
     rows.sort()  # endpoint pairs are unique, so a length never decides the order
 
     neighbours: dict[str, list[tuple[str, float]]] = {nid: [] for nid in nodes}
@@ -166,7 +192,7 @@ def build_network(node_specs: Iterable[Node | tuple],
     if len(reached) != len(nodes):
         raise DisconnectedNetwork(set(nodes) - reached)
 
-    return SkywayNetwork(nodes=nodes, segments=tuple(starmap(Segment, rows)), adjacency=adjacency)
+    return SkywayNetwork(nodes=nodes, segments=tuple(rows), adjacency=adjacency)
 
 
 def shortest_paths_from(network: SkywayNetwork, source: str,

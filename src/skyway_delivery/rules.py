@@ -34,6 +34,13 @@ def non_empty(name, value):
     return None if isinstance(value, str) and value else f"{name}: expected a non-empty string"
 
 
+def integer(name, value):
+    """The count rule: an int, never a bool. The caller judges its range."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return None
+    return f"{name}: expected an int, got {type(value).__name__}"
+
+
 def finite(name, value):
     number = as_number(value)
     if number is None:

@@ -14,9 +14,9 @@ from dataclasses import MISSING, asdict, dataclass, fields
 from json.encoder import encode_basestring_ascii as _json_string
 
 from .errors import InvalidParams, ScenarioSyntaxError, SkywayError, ValidationError
-from .graph import Node, SkywayNetwork, build_network, node_faults, segment_faults
+from .graph import Node, SkywayNetwork, _assemble, build_network, node_faults, segment_faults
 from .planner import DroneConfig, Package, level_violation, package_faults
-from .rules import field_violations, non_empty
+from .rules import as_number, field_violations, integer, non_empty
 from .simulator import MissionReport, StringRig, TelemetryLog
 
 _TOP_KEYS = {"label", "source", "nodes", "segments", "drone", "rig", "packages"}
@@ -100,6 +100,8 @@ def parse_scenario(text: str) -> Scenario:
     parser checks only the document's structure: objects, lists, unknown
     and missing keys. Each field's type and value rules are the ones the
     constructors and ``build_network`` apply, collected for every item.
+    Each check runs once per item, and a document that passes them all goes
+    straight to ``build_network``'s assembly step.
     """
     try:
         doc = json.loads(text)
@@ -122,8 +124,9 @@ def parse_scenario(text: str) -> Scenario:
     source = _take(doc, "source", "document", problems)
 
     # -- nodes ---------------------------------------------------------------
-    nodes: list[Node] = []
-    node_ids: set[str] = set()
+    # Each id a segment or package may name, with its Node (None when the
+    # node breaks a rule).
+    nodes: dict[str, Node | None] = {}
     raw_nodes = doc.get("nodes")
     if not isinstance(raw_nodes, list) or not raw_nodes:
         problems.append("nodes: expected a non-empty list")
@@ -135,11 +138,8 @@ def parse_scenario(text: str) -> Scenario:
         node, values = _build(Node, raw, f"nodes[{i}]", problems)
         node_id = values.get("id")
         if node_id is not None:
-            for fault in node_faults(i, node_id, node_ids):
-                problems.append(str(fault))
-            node_ids.add(node_id)
-        if node is not None:
-            nodes.append(node)
+            problems.extend(map(str, node_faults(i, node_id, nodes)))
+            nodes[node_id] = node
 
     # -- segments ------------------------------------------------------------
     segment_specs: list[tuple[str, str]] = []
@@ -158,7 +158,7 @@ def parse_scenario(text: str) -> Scenario:
         b = _take(raw, "b", locator, problems)
         if a is None or b is None:
             continue
-        faults = segment_faults(i, a, b, node_ids, seen_pairs)
+        faults = segment_faults(i, a, b, nodes, seen_pairs)
         if faults:
             problems.extend(map(str, faults))
         else:
@@ -182,11 +182,11 @@ def parse_scenario(text: str) -> Scenario:
             continue
         package, values = _build(Package, raw, locator, problems)
         problems.extend(map(str, package_faults(i, values.get("id"), values.get("destination"),
-                                                 source, node_ids, package_ids)))
+                                                 source, nodes, package_ids)))
         if package is not None:
             packages.append(package)
 
-    if source is not None and node_ids and source not in node_ids:
+    if source is not None and nodes and source not in nodes:
         problems.append(f"source: unknown node {source!r}")
     if rig is not None:
         violation = level_violation(len(raw_packages), rig.level_count)
@@ -196,7 +196,7 @@ def parse_scenario(text: str) -> Scenario:
     if problems:
         raise ValidationError(problems)
     try:
-        network = build_network(nodes, segment_specs)
+        network = _assemble(nodes, segment_specs)
     except SkywayError as exc:
         # Whole-network faults without a single field to point at, e.g.
         # a disconnected graph or coincident node positions.
@@ -253,7 +253,17 @@ def generate_scenario(node_count: int, package_count: int, seed: int,
     [5, 60] m; a random spanning tree keeps the network connected and a few
     extra segments add route choices. Destinations are distinct non-source
     nodes and package masses stay inside the drone's single-item band.
+    Raises InvalidParams for a count or seed that is not an int, an area
+    that is not two positive finite numbers, and counts no area can hold.
     """
+    for name, value in (("node_count", node_count), ("package_count", package_count),
+                        ("seed", seed)):
+        violation = integer(name, value)
+        if violation is not None:
+            raise InvalidParams(violation)
+    sides = list(map(as_number, area)) if isinstance(area, (tuple, list)) else []
+    if len(sides) != 2 or None in sides:
+        raise InvalidParams(f"area must be a (width, height) pair of numbers, got {area!r}")
     if node_count < 2:
         raise InvalidParams(f"node_count must be >= 2, got {node_count}")
     if package_count < 0:
@@ -262,7 +272,7 @@ def generate_scenario(node_count: int, package_count: int, seed: int,
         raise InvalidParams(
             f"package_count {package_count} needs {package_count} distinct "
             f"destinations but only {node_count - 1} non-source nodes exist")
-    width, height = area
+    width, height = sides
     if not 0 < width < math.inf or not 0 < height < math.inf:
         raise InvalidParams(f"area must be positive and finite, got {area}")
     # uniform(0, side) is side * random(), and random() is at most 1 - 2**-53,
@@ -270,7 +280,7 @@ def generate_scenario(node_count: int, package_count: int, seed: int,
     # rounding of side * (1 - 2**-53). A side of node_count metres already
     # has enough of them; capping it there keeps the count finite.
     positions = 1
-    for side in area:
+    for side in sides:
         top = round(min(side, node_count) * (1 - 2**-53), 2)
         positions *= round(top * 100) + 1
     if positions < node_count:

@@ -9,6 +9,7 @@ import helpers
 from skyway_delivery import (
     Node,
     Path,
+    Segment,
     build_network,
     shortest_path,
     shortest_paths_from,
@@ -22,6 +23,7 @@ from skyway_delivery.errors import (
     SelfLoopSegment,
     UnknownEndpoint,
     UnknownNode,
+    ValidationError,
     ZeroLengthSegment,
 )
 
@@ -195,6 +197,49 @@ def test_build_network_accepts_node_objects():
     assert from_nodes == build_network([("u", 0.0, 0.0, 2.0), ("v", 3.0, 4.0, 0.0)],
                                        [("u", "v")])
     assert from_nodes.node("u") is nodes[0]
+
+
+TWO_NODES = [("S", 0.0, 0.0, 0.0), ("A", 1.0, 0.0, 0.0)]
+PAIR = "expected an (a, b) pair"
+NODE_SPEC = "expected a Node or an (id, x, y[, rooftop_height]) tuple"
+
+
+@pytest.mark.parametrize("node_specs, segment_specs, violations", [
+    (TWO_NODES, [("S", "A", "B")], [f"segments[0]: {PAIR}"]),
+    (TWO_NODES, [("S",)], [f"segments[0]: {PAIR}"]),
+    (TWO_NODES, [None], [f"segments[0]: {PAIR}"]),
+    (TWO_NODES, ["SA"], [f"segments[0]: {PAIR}"]),
+    (TWO_NODES, [("S", "A"), ("S", 5)], ["segments[1].b: expected a non-empty string"]),
+    (TWO_NODES, [["", None]], ["segments[0].a: expected a non-empty string",
+                               "segments[0].b: expected a non-empty string"]),
+    ([("S", 0)], [], [f"nodes[0]: {NODE_SPEC}"]),
+    ([None], [], [f"nodes[0]: {NODE_SPEC}"]),
+    ([TWO_NODES[0], ("A", 1.0, 0.0, 0.0, 0.0)], [], [f"nodes[1]: {NODE_SPEC}"]),
+    ([("S", "0", 0.0)], [], ["nodes[0].x: expected a number, got str"]),
+    ([TWO_NODES[0], ("A", math.nan, 0.0, -1.0)], [],
+     ["nodes[1].x: must be finite", "nodes[1].rooftop_height: must be >= 0 (got -1.0)"]),
+])
+def test_build_network_judges_the_shape_of_each_spec(node_specs, segment_specs, violations):
+    with pytest.raises(ValidationError) as excinfo:
+        build_network(node_specs, segment_specs)
+    assert list(excinfo.value.violations) == violations
+
+
+def test_build_network_accepts_lists_and_three_field_node_tuples():
+    network = build_network([["S", 0, 0], ("A", 3, 4)], [["A", "S"]])
+    assert network.segments == (Segment("A", "S", 5.0),)
+    assert network.node("S") == Node("S", 0.0, 0.0, 0.0)
+
+
+def test_segment_is_a_read_only_tuple():
+    segment = Segment("A", "B", 5.0)
+    assert (segment.a, segment.b, segment.length) == ("A", "B", 5.0)
+    assert segment == ("A", "B", 5.0)
+    assert segment[2] == segment.length == 5.0
+    with pytest.raises(AttributeError):
+        segment.length = 0.0
+    with pytest.raises(AttributeError):
+        segment.a = "C"
 
 
 @given(st.one_of(helpers.generated_networks(), helpers.lattice_networks()))

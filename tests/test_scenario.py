@@ -4,12 +4,14 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import helpers
+from skyway_delivery import graph, scenario as scenario_module
 from skyway_delivery import (
     DroneConfig,
     Node,
@@ -24,7 +26,12 @@ from skyway_delivery import (
     serialize_report,
     serialize_scenario,
 )
-from skyway_delivery.errors import InvalidParams, ScenarioSyntaxError, ValidationError
+from skyway_delivery.errors import (
+    InvalidParams,
+    ScenarioSyntaxError,
+    SkywayError,
+    ValidationError,
+)
 
 MINIMAL = """
 {
@@ -345,6 +352,22 @@ def test_generation_parameter_validation():
         generate_scenario(node_count=3, package_count=1, seed=0, area=(math.inf, 10.0))
 
 
+@pytest.mark.parametrize("args, message", [
+    ((3.0, 1, 1), "node_count: expected an int, got float"),
+    ((5, True, 1), "package_count: expected an int, got bool"),
+    ((5, 1, "1"), "seed: expected an int, got str"),
+    ((5, 1, None), "seed: expected an int, got NoneType"),
+    ((5, 1, 1, ("a", 5)), "area must be a (width, height) pair of numbers, got ('a', 5)"),
+    ((5, 1, 1, (5,)), "area must be a (width, height) pair of numbers, got (5,)"),
+    ((5, 1, 1, (5.0, True)), "area must be a (width, height) pair of numbers, got (5.0, True)"),
+    ((5, 1, 1, (10 ** 400, 5.0)), "area must be positive and finite, got "),
+])
+def test_generation_judges_its_argument_types(args, message):
+    with pytest.raises(InvalidParams) as excinfo:
+        generate_scenario(*args)
+    assert str(excinfo.value).startswith(message)
+
+
 def test_generation_rejects_an_area_with_fewer_positions_than_nodes():
     # Coordinates are rounded to 0.01 m: a 1 mm square holds one position.
     with pytest.raises(InvalidParams, match="^area"):
@@ -617,3 +640,70 @@ PINNED_VIOLATIONS = [
                          ids=[case[0] for case in PINNED_VIOLATIONS])
 def test_pinned_violation_lists(text, expected):
     assert violations_of(text) == expected
+
+
+# -- one check per item --------------------------------------------------------
+
+def test_one_parse_checks_each_node_and_segment_once(monkeypatch):
+    text = serialize_scenario(generate_scenario(60, 4, seed=7))
+    calls = Counter()
+    originals = {name: getattr(graph, name) for name in ("node_faults", "segment_faults")}
+    for name, original in originals.items():
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+        for module in (graph, scenario_module):
+            monkeypatch.setattr(module, name, counted)
+    network = parse_scenario(text).network
+    assert calls == {"node_faults": len(network.nodes),
+                     "segment_faults": len(network.segments)}
+
+
+def network_items(text):
+    """The node tuples and segment pairs of a scenario document."""
+    doc = json.loads(text)
+    nodes = [(n["id"], n["x"], n["y"], n.get("rooftop_height", 0.0)) for n in doc["nodes"]]
+    return nodes, [(s["a"], s["b"]) for s in doc.get("segments", [])]
+
+
+def assert_parser_network_is_build_network(text):
+    """The parser's network is ``build_network``'s on the same items, and a
+    faulty network gives the parser's ``network:`` violation the same text."""
+    try:
+        expected = build_network(*network_items(text))
+    except SkywayError as exc:
+        assert violations_of(text) == [f"network: {exc}"]
+    else:
+        assert parse_scenario(text).network == expected
+
+
+@st.composite
+def network_documents(draw):
+    """Generated scenario documents, some with a network fault: a segment
+    between two nodes at one position, a segment too long to measure, or a
+    node that no segment reaches."""
+    node_count = draw(st.integers(2, 12))
+    generated = generate_scenario(node_count, draw(st.integers(0, min(3, node_count - 1))),
+                                  draw(st.integers(0, 10 ** 6)))
+    document = json.loads(serialize_scenario(generated))
+    by_id = {node["id"]: node for node in document["nodes"]}
+    segment = draw(st.sampled_from(document["segments"]))
+    a, b = by_id[segment["a"]], by_id[segment["b"]]
+    fault = draw(st.sampled_from(["none", "coincident", "overflow", "disconnected"]))
+    if fault == "coincident":
+        b["x"], b["y"] = a["x"], a["y"]
+    elif fault == "overflow":
+        a["x"], b["x"] = -1e308, 1e308
+    elif fault == "disconnected":
+        document["nodes"].append({"id": "z", "x": -1.0, "y": -1.0, "rooftop_height": 0.0})
+    return json.dumps(document)
+
+
+@given(network_documents())
+def test_parser_network_equals_build_network(text):
+    assert_parser_network_is_build_network(text)
+
+
+@pytest.mark.parametrize("name", ["n1", "n2", "demo3"])
+def test_bundled_parser_network_equals_build_network(scenario_dir, name):
+    assert_parser_network_is_build_network((scenario_dir / f"{name}.json").read_text())
