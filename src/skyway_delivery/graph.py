@@ -8,7 +8,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Collection, Iterable, Iterator, NamedTuple
 
 from .errors import (
     DisconnectedNetwork,
@@ -201,28 +201,80 @@ def shortest_paths_from(network: SkywayNetwork, source: str,
     node without ``targets``.
 
     Of the paths of equal length (bit for bit) it returns the one whose node
-    sequence is lexicographically smallest. Each node keeps only its distance
-    and its predecessor, and on an exactly equal tentative distance the two
-    full walks decide. A segment shorter than half an ulp of the distance so
-    far leaves the sum unchanged, so the nodes at the popped distance form
-    one batch that settles smallest walk first, and a node reached at that
-    distance again joins the batch. With ``targets`` the search ends once
-    each target is settled and returns exactly the targets' paths. Raises
-    UnknownNode for an unknown source or target.
+    sequence is lexicographically smallest (see ``_settle``). With
+    ``targets`` the search ends once each target is settled and returns
+    exactly the targets' paths. Raises UnknownNode for an unknown source or
+    target, and DisconnectedNetwork naming the targets (without ``targets``,
+    the nodes) that no path reaches.
     """
     network.node(source)
     if targets is not None:
         targets = list(dict.fromkeys(targets))
         for target in targets:
             network.node(target)
-    adjacency = network.adjacency
-    pending = set(adjacency if targets is None else targets)
+    pending = set(network.adjacency if targets is None else targets)
+    prev: dict[str, str | None] = {}
+    dist: dict[str, float] = {}  # the settled nodes, in settling order
+    if pending:
+        for d, node in _settle(network.adjacency, source, prev):
+            dist[node] = d
+            pending.discard(node)
+            if not pending:
+                break
+        else:
+            raise DisconnectedNetwork(pending)
+    if targets is not None:
+        return {target: Path(_walk(prev, target), dist[target]) for target in targets}
+    walks: dict[str, tuple[str, ...]] = {}
+    for node in dist:
+        before = prev[node]
+        walks[node] = (node,) if before is None else walks[before] + (node,)
+    return {node: Path(walk, dist[node]) for node, walk in walks.items()}
+
+
+def _nearest_stops(network: SkywayNetwork, source: str,
+                   stops: Collection[str]) -> dict[str, Path]:
+    """The shortest paths from ``source`` to the stops nearest to it: every
+    one of ``stops`` (known node ids) at the least distance.
+
+    The search ends at the first distance popped past the first stop it
+    settles, so the whole batch at that stop's distance is settled, and each
+    path is the one ``shortest_paths_from`` returns. Raises
+    DisconnectedNetwork when no stop is reachable.
+    """
+    prev: dict[str, str | None] = {}
+    nearest: dict[str, float] = {}
+    least = math.inf
+    for d, node in _settle(network.adjacency, source, prev):
+        if d > least:
+            break
+        if node in stops:
+            nearest[node] = least = d
+    if not nearest:
+        raise DisconnectedNetwork(stops)
+    return {stop: Path(_walk(prev, stop), d) for stop, d in nearest.items()}
+
+
+def _settle(adjacency: dict[str, tuple[tuple[str, float], ...]], source: str,
+            prev: dict[str, str | None]) -> Iterator[tuple[float, str]]:
+    """Dijkstra's settling order from ``source``: yields (distance, node) as
+    each reachable node settles, and fills ``prev`` with predecessor links.
+
+    A node's distance and its walk along ``prev`` are final once it is
+    yielded; the caller ends the search by leaving its loop. Of the walks of
+    equal length (bit for bit) each node gets the lexicographically smallest.
+    Each node keeps only its distance and its predecessor, and on an exactly
+    equal tentative distance the two full walks decide. A segment shorter
+    than half an ulp of the distance so far leaves the sum unchanged, so the
+    nodes at the popped distance form one batch that settles smallest walk
+    first, and a node reached at that distance again joins the batch.
+    """
     push, pop = heapq.heappush, heapq.heappop
     dist = {source: 0.0}
-    prev: dict[str, str | None] = {source: None}
-    settled: dict[str, None] = {}  # in settling order
+    prev[source] = None
+    settled: set[str] = set()
     heap = [(0.0, source)]
-    while heap and pending:
+    while heap:
         d, node = pop(heap)
         if node in settled:
             continue
@@ -237,8 +289,8 @@ def shortest_paths_from(network: SkywayNetwork, source: str,
             for other in batch:
                 if other != node:
                     push(heap, (d, other))
-        settled[node] = None
-        pending.discard(node)
+        yield d, node
+        settled.add(node)
         for neighbour, length in adjacency[node]:
             reach = d + length
             known = dist.get(neighbour)
@@ -249,13 +301,6 @@ def shortest_paths_from(network: SkywayNetwork, source: str,
             elif (reach == known and neighbour not in settled
                   and _walk(prev, node) + (neighbour,) < _walk(prev, neighbour)):
                 prev[neighbour] = node
-    if targets is not None:
-        return {target: Path(_walk(prev, target), dist[target]) for target in targets}
-    walks: dict[str, tuple[str, ...]] = {}
-    for node in settled:
-        before = prev[node]
-        walks[node] = (node,) if before is None else walks[before] + (node,)
-    return {node: Path(walk, dist[node]) for node, walk in walks.items()}
 
 
 def _walk(prev: dict[str, str | None], node: str) -> tuple[str, ...]:
@@ -270,9 +315,11 @@ def _walk(prev: dict[str, str | None], node: str) -> tuple[str, ...]:
 def stop_matrix(network: SkywayNetwork, stops: Iterable[str]) -> dict[str, dict[str, Path]]:
     """Shortest paths between every pair of ``stops``: ``matrix[a][b]`` runs a to b.
 
-    One Dijkstra per distinct stop, each ending once every stop is settled.
+    One Dijkstra per distinct stop, first stop first, each ending once every
+    stop is settled. Raises DisconnectedNetwork naming the stops that no
+    path from the first stop reaches.
     """
-    distinct = sorted(set(stops))
+    distinct = list(dict.fromkeys(stops))
     return {stop: shortest_paths_from(network, stop, distinct) for stop in distinct}
 
 

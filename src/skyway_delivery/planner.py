@@ -6,7 +6,7 @@ import math
 import operator
 import struct
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     InfeasiblePayload,
@@ -14,9 +14,10 @@ from .errors import (
     SkywayError,
     TooManyPackagesForExhaustive,
     UnknownDestination,
+    ValidationError,
 )
-from .rules import as_number, check_fields, finite, non_empty, non_negative, positive
-from .graph import Path, SkywayNetwork, stop_matrix
+from .rules import as_number, check_fields, finite, integer, non_empty, non_negative, positive
+from .graph import Path, SkywayNetwork, _nearest_stops, shortest_path, stop_matrix
 
 # The largest manifest the Held–Karp planner takes: the largest that plans
 # in under 1 s. On a 2-core VM (Python 3.11), generate_scenario(500, 15,
@@ -104,8 +105,27 @@ def check_feasibility(drone: DroneConfig | None, packages: Sequence[Package],
     Either constraint may be absent: no drone means no capacity bound, no
     level count means no rig bound. Infeasibility is an answer, not an
     error: callers that need a hard stop raise InfeasiblePayload from the
-    returned report.
+    returned report. An argument of the wrong type raises ValidationError.
     """
+    _judge(drone, packages, level_count)
+    return _feasibility(drone, packages, level_count)
+
+
+def _judge(drone: DroneConfig | None, packages: Sequence[Package],
+           level_count: int | None) -> None:
+    """Raise one ValidationError naming each argument of the wrong type."""
+    violations = [None if drone is None or isinstance(drone, DroneConfig)
+                  else f"drone: expected a DroneConfig, got {type(drone).__name__}"]
+    violations += [f"packages[{i}]: expected a Package, got {type(package).__name__}"
+                   for i, package in enumerate(packages) if not isinstance(package, Package)]
+    violations.append(None if level_count is None else integer("level_count", level_count))
+    if any(violations):
+        raise ValidationError(filter(None, violations))
+
+
+def _feasibility(drone: DroneConfig | None, packages: Sequence[Package],
+                 level_count: int | None) -> FeasibilityReport:
+    """``check_feasibility`` of arguments already judged."""
     total = left_to_right_sum(p.mass for p in packages)
     capacity = drone.max_payload if drone is not None else math.inf
     violations = []
@@ -155,16 +175,11 @@ def package_faults(index: int, package_id: str | None, destination: str | None,
     return faults
 
 
-def _plan(network: SkywayNetwork, source: str, packages: Sequence[Package],
-          drone: DroneConfig | None, level_count: int | None, label: str,
-          choose: Callable[[list[list[float]]], Sequence[int]]) -> MissionPlan:
-    """The plan that delivers the packages in the order ``choose`` picks.
-
-    Once the packages are fit to plan (else raise), stop 0 is the source and
-    stop i the destination of the i-th package by id. ``choose`` gets the
-    stop-to-stop distances ``dist[a][b]`` and returns the stops 1..n in
-    flying order; the plan ends with a return leg to the source.
-    """
+def _checked(network: SkywayNetwork, source: str, packages: Sequence[Package],
+             drone: DroneConfig | None, level_count: int | None) -> list[Package]:
+    """The packages in id order, once they are fit to plan from ``source``;
+    else raise."""
+    _judge(drone, packages, level_count)
     network.node(source)
     seen_ids: set[str] = set()
     for i, package in enumerate(packages):
@@ -173,33 +188,10 @@ def _plan(network: SkywayNetwork, source: str, packages: Sequence[Package],
         if faults:
             raise type(faults[0])(f"package {package.id!r}: {faults[0]}")
     ordered = sorted(packages, key=lambda p: p.id)
-    report = check_feasibility(drone, ordered, level_count)
+    report = _feasibility(drone, ordered, level_count)
     if not report.feasible:
         raise InfeasiblePayload(report)
-    stops = [source, *(p.destination for p in ordered)]
-    paths = stop_matrix(network, stops)
-    legs: list[Leg] = []
-    at = source
-    for stop in choose([[paths[a][b].total_length for b in stops] for a in stops]):
-        package = ordered[stop - 1]
-        legs.append(Leg(paths[at][package.destination], package.id))
-        at = package.destination
-    legs.append(Leg(paths[at][source], None))
-    return MissionPlan(source=source, legs=tuple(legs), strategy_label=label)
-
-
-def _nearest_first(dist: Sequence[Sequence[float]]) -> tuple[int, ...]:
-    """From stop 0, always on to the nearest stop not yet visited.
-
-    A tie goes to the smaller stop; a repeated destination is a 0.0 entry,
-    so it is taken next.
-    """
-    order = [0]
-    left = list(range(1, len(dist)))
-    while left:
-        order.append(min(left, key=dist[order[-1]].__getitem__))
-        left.remove(order[-1])
-    return tuple(order[1:])
+    return ordered
 
 
 def plan_ndf(network: SkywayNetwork, source: str, packages: Sequence[Package], *,
@@ -208,10 +200,21 @@ def plan_ndf(network: SkywayNetwork, source: str, packages: Sequence[Package], *
     """Greedy plan: always deliver the package whose destination is nearest.
 
     Distances are shortest-path lengths from the drone's current node, so the
-    ranking is recomputed after every delivery. Ties fall to the smaller
-    package id. The plan ends with a return leg to the source.
+    ranking is recomputed after every delivery; each search runs only as far
+    as the nearest remaining destinations. Ties fall to the smaller package
+    id, so a repeated destination is delivered next. The plan ends with a
+    return leg to the source.
     """
-    return _plan(network, source, packages, drone, level_count, "ndf", _nearest_first)
+    left = _checked(network, source, packages, drone, level_count)
+    legs: list[Leg] = []
+    at = source
+    while left:
+        nearest = _nearest_stops(network, at, {p.destination for p in left})
+        package = left.pop(next(i for i, p in enumerate(left) if p.destination in nearest))
+        legs.append(Leg(nearest[package.destination], package.id))
+        at = package.destination
+    legs.append(Leg(shortest_path(network, at, source), None))
+    return MissionPlan(source=source, legs=tuple(legs), strategy_label="ndf")
 
 
 def plan_optimal(network: SkywayNetwork, source: str, packages: Sequence[Package], *,
@@ -219,16 +222,27 @@ def plan_optimal(network: SkywayNetwork, source: str, packages: Sequence[Package
                  level_count: int | None = None) -> MissionPlan:
     """Distance-optimal plan over every release order, return leg included.
 
-    Capped at EXHAUSTIVE_PACKAGE_CAP packages; ``optimal_order`` finds the
-    order, and equal-distance orders resolve to the lexicographically
-    smallest package-id sequence.
+    Capped at EXHAUSTIVE_PACKAGE_CAP packages. ``optimal_order`` finds the
+    order over the stop matrix, stop 0 being the source and stop i the
+    destination of the i-th package by id; equal-distance orders resolve to
+    the lexicographically smallest package-id sequence.
     """
     if len(packages) > EXHAUSTIVE_PACKAGE_CAP:
         raise TooManyPackagesForExhaustive(
             f"{len(packages)} packages exceed the exhaustive cap of {EXHAUSTIVE_PACKAGE_CAP}"
         )
-    return _plan(network, source, packages, drone, level_count, "exhaustive",
-                 lambda dist: optimal_order(dist)[0])
+    ordered = _checked(network, source, packages, drone, level_count)
+    stops = [source, *(p.destination for p in ordered)]
+    paths = stop_matrix(network, stops)
+    order, _ = optimal_order([[paths[a][b].total_length for b in stops] for a in stops])
+    legs: list[Leg] = []
+    at = source
+    for stop in order:
+        package = ordered[stop - 1]
+        legs.append(Leg(paths[at][package.destination], package.id))
+        at = package.destination
+    legs.append(Leg(paths[at][source], None))
+    return MissionPlan(source=source, legs=tuple(legs), strategy_label="exhaustive")
 
 
 # The strategies by their CLI name. Callers look a planner up here when they

@@ -93,11 +93,15 @@ def consumption_rate(drone: DroneConfig, payload_mass: float) -> float:
 
     The airframe's own mass is a constant load and is already folded into
     the drone's base rate. Two finite rates can add up to an infinite one;
-    such a drone cannot fly, so it raises ValidationError.
+    such a drone cannot fly, so it raises ValidationError. A payload that is
+    not a number raises ValueError.
     """
-    if payload_mass < 0:
+    mass = as_number(payload_mass)
+    if mass is None:
+        raise ValueError(f"payload mass must be a number, got {type(payload_mass).__name__}")
+    if mass < 0:
         raise NegativePayload(f"payload mass must be >= 0, got {payload_mass}")
-    rate = drone.base_rate + drone.payload_rate * payload_mass
+    rate = drone.base_rate + drone.payload_rate * mass
     if not math.isfinite(rate):
         raise ValidationError([
             f"drone: the consumption rate base_rate + payload_rate * {payload_mass} kg "
@@ -269,10 +273,11 @@ def simulate_mission(network: SkywayNetwork, plan: MissionPlan,
     source. A dead battery cuts the flight short with an ABORT record.
     ``assignment`` must equal ``assign_levels(plan)``.
     """
-    if not telemetry_step > 0:
-        raise ValueError("telemetry_step must be > 0")
-    if not 0 <= release_dwell < math.inf:
-        raise ValueError("release_dwell must be finite and >= 0")
+    step, dwell = as_number(telemetry_step), as_number(release_dwell)
+    if step is None or not step > 0:
+        raise ValueError(f"telemetry_step must be a number > 0 (got {telemetry_step!r})")
+    if dwell is None or not 0 <= dwell < math.inf:
+        raise ValueError(f"release_dwell must be a finite number >= 0 (got {release_dwell!r})")
     _check_consistency(plan, assignment, packages, rig)
     mass_of = {p.id: p.mass for p in packages}
     order = plan.release_order
@@ -284,7 +289,7 @@ def simulate_mission(network: SkywayNetwork, plan: MissionPlan,
         payload_after[k] = mass_of[order[k]] + payload_after[k + 1]
     source = network.node(plan.source)
     flight = _Flight(source.x, source.y, source.rooftop_height, drone.battery_capacity,
-                     payload_after[0], telemetry_step)
+                     payload_after[0], step)
     flight.emit("TAKEOFF")
 
     releases: list[tuple[str, str, float]] = []
@@ -326,7 +331,7 @@ def simulate_mission(network: SkywayNetwork, plan: MissionPlan,
                 level = len(releases) + 1
                 flight.travel(flight.x, flight.y, release_altitude(end_node, rig, level),
                               drone.vertical_speed)
-                flight.hold(release_dwell)
+                flight.hold(dwell)
                 flight.payload_mass = payload_after[level]
                 flight.emit(f"RELEASE({leg.release})")
                 releases.append((leg.release, end_node.id, flight.clock))

@@ -3,8 +3,10 @@
 The oracles deliberately avoid the library's own algorithms: path minima come
 from exhaustive DFS over simple paths, so Dijkstra has something independent
 to agree with; exact tie-breaking comes from a Dijkstra whose heap entries
-carry whole walks, so the predecessor-link one does; and optimal release
-orders come from scoring every permutation, so the Held–Karp planner does.
+carry whole walks, so the predecessor-link one does; NDF plans come from
+the nearest-first rule over the full stop matrix, so the bounded search
+does; and optimal release orders come from scoring every permutation, so
+the Held–Karp planner does.
 The telemetry CSV and the scenario document come from the standard
 library's general writers, ``csv.writer`` and ``json.dumps``, which the
 library's hand-built formats must match byte for byte.
@@ -17,11 +19,21 @@ import io
 import itertools
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from hypothesis import strategies as st
 
-from skyway_delivery import Package, Path, SkywayNetwork, build_network, generate_scenario
+from skyway_delivery import (
+    Leg,
+    MissionPlan,
+    Node,
+    Package,
+    Path,
+    SkywayNetwork,
+    build_network,
+    generate_scenario,
+    stop_matrix,
+)
 
 N1_NODE_SPECS = [
     ("S", 0.0, 0.0, 0.0),
@@ -59,6 +71,14 @@ def build_n1() -> SkywayNetwork:
 
 def build_n2() -> SkywayNetwork:
     return build_network(N2_NODE_SPECS, N2_SEGMENT_SPECS)
+
+
+def disconnected_n1() -> SkywayNetwork:
+    """n1 plus a node Q that no segment reaches, which ``build_network``
+    refuses to build but ``replace`` does not."""
+    network = build_n1()
+    return replace(network, nodes={**network.nodes, "Q": Node("Q", 500.0, 500.0)},
+                   adjacency={**network.adjacency, "Q": ()})
 
 
 def collinear_network(xs) -> SkywayNetwork:
@@ -183,6 +203,37 @@ def simple_path_minima(network: SkywayNetwork, source: str) -> dict[str, float]:
 
     walk(source, 0.0, frozenset({source}))
     return minima
+
+
+def nearest_first(dist) -> tuple[int, ...]:
+    """From stop 0, always on to the nearest stop not yet visited.
+
+    A tie goes to the smaller stop; a repeated destination is a 0.0 entry,
+    so it is taken next.
+    """
+    order = [0]
+    left = list(range(1, len(dist)))
+    while left:
+        order.append(min(left, key=dist[order[-1]].__getitem__))
+        left.remove(order[-1])
+    return tuple(order[1:])
+
+
+def matrix_ndf_plan(network: SkywayNetwork, source: str, packages) -> MissionPlan:
+    """The NDF plan from ``nearest_first`` over the full stop matrix, stop 0
+    being the source and stop i the destination of the i-th package by id;
+    the oracle for ``plan_ndf``, whose searches end at the nearest stop."""
+    ordered = sorted(packages, key=lambda p: p.id)
+    stops = [source, *(p.destination for p in ordered)]
+    paths = stop_matrix(network, stops)
+    legs = []
+    at = source
+    for stop in nearest_first([[paths[a][b].total_length for b in stops] for a in stops]):
+        package = ordered[stop - 1]
+        legs.append(Leg(paths[at][package.destination], package.id))
+        at = package.destination
+    legs.append(Leg(paths[at][source], None))
+    return MissionPlan(source=source, legs=tuple(legs), strategy_label="ndf")
 
 
 def permutation_order(dist) -> tuple[tuple[int, ...], float]:

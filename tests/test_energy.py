@@ -52,6 +52,19 @@ def test_rate_rejects_negative_payload():
         consumption_rate(DroneConfig(), -0.001)
 
 
+@pytest.mark.parametrize("payload", ["1", None, True, [1.0]])
+def test_rate_rejects_a_payload_that_is_not_a_number(payload):
+    with pytest.raises(ValueError, match="payload mass must be a number"):
+        consumption_rate(DroneConfig(), payload)
+
+
+def test_rate_reads_an_int_payload_as_a_float():
+    drone = DroneConfig()
+    assert consumption_rate(drone, 6) == consumption_rate(drone, 6.0)
+    with pytest.raises(ValidationError, match="consumption rate"):
+        consumption_rate(drone, 10**400)
+
+
 def test_overflowing_rate_is_a_validation_error():
     # Each rate passes the DroneConfig rules, but their sum overflows.
     drone = DroneConfig(base_rate=1e308, payload_rate=1e308)

@@ -273,6 +273,25 @@ def test_unknown_target_raises(n1_network):
         stop_matrix(n1_network, ["S", "ghost"])
 
 
+@pytest.mark.parametrize("search, unreachable", [
+    (lambda net: shortest_path(net, "S", "Q"), {"Q"}),
+    (lambda net: shortest_paths_from(net, "S", ["A", "Q", "C"]), {"Q"}),
+    (lambda net: shortest_paths_from(net, "S"), {"Q"}),
+    (lambda net: shortest_paths_from(net, "Q", ["Q", "B", "A"]), {"A", "B"}),
+    (lambda net: stop_matrix(net, ["S", "C", "Q"]), {"Q"}),
+])
+def test_a_search_raises_for_an_unreachable_target(search, unreachable):
+    with pytest.raises(DisconnectedNetwork) as excinfo:
+        search(helpers.disconnected_n1())
+    assert excinfo.value.unreachable == unreachable
+
+
+def test_a_search_reaches_every_target_of_its_own_component():
+    network = helpers.disconnected_n1()
+    assert shortest_path(network, "S", "C") == Path(("S", "B", "C"), 150.0)
+    assert shortest_paths_from(network, "Q", ["Q"]) == {"Q": Path(("Q",), 0.0)}
+
+
 @given(st.one_of(helpers.generated_networks(), helpers.lattice_networks()), st.data())
 def test_stop_matrix_paths_equal_full_run_paths(network, data):
     stops = data.draw(st.lists(st.sampled_from(sorted(network.nodes)), min_size=1,

@@ -27,6 +27,7 @@ from skyway_delivery import (
     simulate_mission,
 )
 from skyway_delivery.errors import (
+    DisconnectedNetwork,
     InfeasiblePayload,
     InvalidLevel,
     InvalidPackage,
@@ -34,7 +35,6 @@ from skyway_delivery.errors import (
     UnknownDestination,
     ValidationError,
 )
-from skyway_delivery.planner import _nearest_first
 
 
 def test_feasibility_within_limits(n1_packages):
@@ -326,17 +326,17 @@ def test_optimal_order_takes_an_infinite_distance():
 def test_nearest_first_breaks_a_tie_toward_the_smaller_stop():
     # Stops 2 and 3 are equally near the start, then 1 and 3 from stop 2.
     dist = [[0, 5, 2, 2], [5, 0, 1, 4], [2, 1, 0, 1], [2, 4, 1, 0]]
-    assert _nearest_first(dist) == (2, 1, 3)
+    assert helpers.nearest_first(dist) == (2, 1, 3)
 
 
 def test_nearest_first_takes_a_repeated_destination_next():
     # Stops 2 and 3 share a rooftop, so the 0.0 entry beats the smaller stop 1.
     dist = [[0, 2, 1, 1], [2, 0, 0.5, 0.5], [1, 0.5, 0, 0.0], [1, 0.5, 0.0, 0]]
-    assert _nearest_first(dist) == (2, 3, 1)
+    assert helpers.nearest_first(dist) == (2, 3, 1)
 
 
 def test_nearest_first_without_stops():
-    assert _nearest_first([[0.0]]) == ()
+    assert helpers.nearest_first([[0.0]]) == ()
 
 
 def _manifests(data, network, max_packages=6):
@@ -382,6 +382,68 @@ def test_ndf_matches_greedy_over_full_dijkstra_runs(network, data):
 
     plan = plan_ndf(network, source, packages)
     assert [(leg.path, leg.release) for leg in plan.legs] == legs
+
+
+@given(st.one_of(helpers.generated_networks(), helpers.lattice_networks(),
+                 helpers.half_ulp_networks()), st.data())
+def test_ndf_equals_nearest_first_over_the_stop_matrix(network, data):
+    source, packages = _manifests(data, network, max_packages=8)
+    if packages:  # send some packages where another one already goes
+        repeats = data.draw(st.lists(st.sampled_from(packages), max_size=3))
+        packages += [Package(f"r{i}", 1.0, p.destination) for i, p in enumerate(repeats)]
+    assert plan_ndf(network, source, packages) == (
+        helpers.matrix_ndf_plan(network, source, packages))
+
+
+def test_ndf_takes_the_smaller_id_of_stops_at_an_equal_distance():
+    # A and B are both 1.0 from S. A's walk (S, A) is the smaller, so A
+    # settles first, but p1 goes to B: a search that stopped at the first
+    # stop it settled would deliver p2 first.
+    network = build_network([("S", 0.0, 0.0), ("A", 1.0, 0.0), ("B", -1.0, 0.0)],
+                            [("S", "A"), ("S", "B")])
+    packages = [Package("p1", 1.0, "B"), Package("p2", 1.0, "A")]
+    plan = plan_ndf(network, "S", packages)
+    assert plan.release_order == ("p1", "p2")
+    assert [leg.path for leg in plan.legs] == [
+        Path(("S", "B"), 1.0), Path(("B", "S", "A"), 2.0), Path(("A", "S"), 1.0)]
+    assert plan == helpers.matrix_ndf_plan(network, "S", packages)
+
+
+@pytest.mark.parametrize("planner", [plan_ndf, plan_optimal])
+@pytest.mark.parametrize("destinations", [["Q"], ["A", "Q"], ["Q", "C"]])
+def test_planners_raise_for_an_unreachable_destination(planner, destinations):
+    packages = [Package(f"p{i}", 1.0, d) for i, d in enumerate(destinations)]
+    with pytest.raises(DisconnectedNetwork) as excinfo:
+        planner(helpers.disconnected_n1(), "S", packages)
+    assert excinfo.value.unreachable == {"Q"}
+
+
+@pytest.mark.parametrize("call, violations", [
+    (lambda net, pk: plan_ndf(net, "S", pk, level_count="3"),
+     ["level_count: expected an int, got str"]),
+    (lambda net, pk: plan_optimal(net, "S", pk, level_count="3"),
+     ["level_count: expected an int, got str"]),
+    (lambda net, pk: plan_ndf(net, "S", pk, level_count=2.5),
+     ["level_count: expected an int, got float"]),
+    (lambda net, pk: plan_optimal(net, "S", pk, level_count=True),
+     ["level_count: expected an int, got bool"]),
+    (lambda net, pk: plan_ndf(net, "S", [1]), ["packages[0]: expected a Package, got int"]),
+    (lambda net, pk: plan_optimal(net, "S", [*pk, "p4"]),
+     ["packages[3]: expected a Package, got str"]),
+    (lambda net, pk: plan_ndf(net, "S", pk, drone={}),
+     ["drone: expected a DroneConfig, got dict"]),
+    (lambda net, pk: check_feasibility(DroneConfig(), [1, 2]),
+     ["packages[0]: expected a Package, got int", "packages[1]: expected a Package, got int"]),
+    (lambda net, pk: check_feasibility(None, pk, level_count=2.5),
+     ["level_count: expected an int, got float"]),
+    (lambda net, pk: check_feasibility(1, [None], level_count="3"),
+     ["drone: expected a DroneConfig, got int", "packages[0]: expected a Package, got NoneType",
+      "level_count: expected an int, got str"]),
+])
+def test_planners_judge_the_types_of_their_arguments(n1_network, n1_packages, call, violations):
+    with pytest.raises(ValidationError) as excinfo:
+        call(n1_network, list(n1_packages))
+    assert list(excinfo.value.violations) == violations
 
 
 def test_plan_optimal_delivers_every_package_when_every_total_overflows():

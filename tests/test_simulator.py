@@ -285,6 +285,19 @@ def test_simulation_parameter_validation(n1_network, n1_packages):
                          n1_packages, release_dwell=-1.0)
 
 
+@pytest.mark.parametrize("option", [
+    {"telemetry_step": "x"}, {"telemetry_step": None}, {"telemetry_step": True},
+    {"telemetry_step": -math.inf}, {"release_dwell": "x"}, {"release_dwell": [1.0]},
+    {"release_dwell": 10**400},
+])
+def test_simulation_options_of_the_wrong_type_raise_value_error(n1_network, n1_packages,
+                                                                option):
+    plan = plan_ndf(n1_network, "S", n1_packages)
+    with pytest.raises(ValueError, match=next(iter(option))):
+        simulate_mission(n1_network, plan, assign_levels(plan), DroneConfig(), StringRig(),
+                         n1_packages, **option)
+
+
 def test_generated_missions_complete_and_return_home():
     for offset in range(12):
         node_count = 2 + offset % 5
