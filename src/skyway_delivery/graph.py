@@ -25,12 +25,13 @@ from .errors import (
 from .rules import check_fields, finite, non_empty, non_negative
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     """A rooftop take-off/landing point at ground coordinates (x, y).
 
     A zero coordinate or height is stored as 0.0, never -0.0, so that every
-    position derived from the node prints the same.
+    position derived from the node prints the same. The class is slotted: a
+    node has no ``__dict__``.
     """
 
     id: str
@@ -163,14 +164,18 @@ def _assemble(nodes: dict[str, Node], pairs: Iterable[tuple[str, str]]) -> Skywa
     DisconnectedNetwork.
     """
     rows: list[Segment] = []
-    positions = {node.id: (node.x, node.y) for node in nodes.values()}
+    hypot, inf, row = math.hypot, math.inf, tuple.__new__
     for a, b in pairs:
-        length = math.dist(positions[a], positions[b])
+        node_a, node_b = nodes[a], nodes[b]
+        # Equal to math.dist of the two positions bit for bit: both take the
+        # norm of the same two differences.
+        length = hypot(node_a.x - node_b.x, node_a.y - node_b.y)
         if length == 0.0:
             raise ZeroLengthSegment(f"segment {a!r}-{b!r} joins coincident positions")
-        if length == math.inf:
+        if length == inf:
             raise NonFiniteLength(f"segment {a!r}-{b!r} is too long: its length overflows")
-        rows.append(Segment(a, b, length) if a < b else Segment(b, a, length))
+        # tuple.__new__ builds the row without Segment's Python-level __new__.
+        rows.append(row(Segment, (a, b, length) if a < b else (b, a, length)))
     rows.sort()  # endpoint pairs are unique, so a length never decides the order
 
     neighbours: dict[str, list[tuple[str, float]]] = {nid: [] for nid in nodes}

@@ -5,6 +5,7 @@ import functools
 import math
 import operator
 import struct
+from collections import abc
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -112,15 +113,27 @@ def check_feasibility(drone: DroneConfig | None, packages: Sequence[Package],
 
 
 def _judge(drone: DroneConfig | None, packages: Sequence[Package],
-           level_count: int | None) -> None:
-    """Raise one ValidationError naming each argument of the wrong type."""
-    violations = [None if drone is None or isinstance(drone, DroneConfig)
-                  else f"drone: expected a DroneConfig, got {type(drone).__name__}"]
-    violations += [f"packages[{i}]: expected a Package, got {type(package).__name__}"
-                   for i, package in enumerate(packages) if not isinstance(package, Package)]
+           level_count: int | None, found: Iterable[str | None] = ()) -> None:
+    """Raise one ValidationError naming each argument of the wrong type,
+    after ``found``, the caller's violations for its other arguments (None
+    for each one that is fine)."""
+    violations = [*found, None if drone is None else _type_violation("drone", drone, DroneConfig)]
+    if isinstance(packages, abc.Sequence):
+        violations += [_type_violation(f"packages[{i}]", package, Package)
+                       for i, package in enumerate(packages) if not isinstance(package, Package)]
+    else:
+        violations.append(f"packages: expected a sequence of packages, "
+                          f"got {type(packages).__name__}")
     violations.append(None if level_count is None else integer("level_count", level_count))
     if any(violations):
         raise ValidationError(filter(None, violations))
+
+
+def _type_violation(name: str, value, kind: type) -> str | None:
+    """The violation of an argument ``name`` that is not a ``kind``, or None."""
+    if isinstance(value, kind):
+        return None
+    return f"{name}: expected a {kind.__name__}, got {type(value).__name__}"
 
 
 def _feasibility(drone: DroneConfig | None, packages: Sequence[Package],
@@ -227,11 +240,11 @@ def plan_optimal(network: SkywayNetwork, source: str, packages: Sequence[Package
     destination of the i-th package by id; equal-distance orders resolve to
     the lexicographically smallest package-id sequence.
     """
-    if len(packages) > EXHAUSTIVE_PACKAGE_CAP:
-        raise TooManyPackagesForExhaustive(
-            f"{len(packages)} packages exceed the exhaustive cap of {EXHAUSTIVE_PACKAGE_CAP}"
-        )
     ordered = _checked(network, source, packages, drone, level_count)
+    if len(ordered) > EXHAUSTIVE_PACKAGE_CAP:
+        raise TooManyPackagesForExhaustive(
+            f"{len(ordered)} packages exceed the exhaustive cap of {EXHAUSTIVE_PACKAGE_CAP}"
+        )
     stops = [source, *(p.destination for p in ordered)]
     paths = stop_matrix(network, stops)
     order, _ = optimal_order([[paths[a][b].total_length for b in stops] for a in stops])

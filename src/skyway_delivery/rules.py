@@ -42,21 +42,21 @@ def integer(name, value):
 
 
 def finite(name, value):
-    number = as_number(value)
+    number = value if type(value) is float else as_number(value)
     if number is None:
         return f"{name}: expected a number, got {type(value).__name__}"
     return None if math.isfinite(number) else f"{name}: must be finite"
 
 
 def positive(name, value):
-    number = as_number(value)
+    number = value if type(value) is float else as_number(value)
     if number is not None and 0 < number < math.inf:
         return None
     return finite(name, value) or f"{name}: must be > 0 (got {number})"
 
 
 def non_negative(name, value):
-    number = as_number(value)
+    number = value if type(value) is float else as_number(value)
     if number is not None and 0 <= number < math.inf:
         return None
     return finite(name, value) or f"{name}: must be >= 0 (got {number})"

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from operator import itemgetter
 from dataclasses import MISSING, asdict, dataclass, fields
 from json.encoder import encode_basestring_ascii as _json_string
 
@@ -21,6 +22,7 @@ from .simulator import MissionReport, StringRig, TelemetryLog
 
 _TOP_KEYS = {"label", "source", "nodes", "segments", "drone", "rig", "packages"}
 _SEGMENT_KEYS = {"a", "b"}
+_segment_pair = itemgetter("a", "b")
 
 
 @dataclass(frozen=True)
@@ -63,14 +65,25 @@ def _block(doc: dict, key: str, problems: list[str]) -> dict:
     return raw
 
 
-def _build(cls, raw: dict, locator: str, problems: list[str]):
-    """Construct ``cls`` from the fields in ``raw``.
+def _build(cls, raw, problems: list[str], key: str, index: int | None = None):
+    """Construct ``cls`` from the fields in ``raw``, the document's ``key``
+    (its item ``key[index]`` when ``index`` is given).
 
-    Returns the object, or None when a field is missing or breaks one of the
-    class's rules, plus the values of the fields that broke none. Unknown
-    keys, missing fields and rule violations go to ``problems``, the last
-    two in the class's rule order, each behind ``locator``.
+    Returns the object, or None when ``raw`` is not an object or a field is
+    missing or breaks one of the class's rules, plus the values of the fields
+    that broke none (``raw`` itself when it builds at the first call). Only
+    a failed first call collects the faults, each behind the item's locator:
+    a value that is not an object, then unknown keys, then missing fields
+    and rule violations in the class's rule order.
     """
+    try:
+        return cls(**raw), raw
+    except (TypeError, ValidationError):
+        pass
+    locator = key if index is None else f"{key}[{index}]"
+    if not isinstance(raw, dict):
+        problems.append(f"{locator}: expected an object")
+        return None, {}
     defaults = _FIELDS[cls]
     _reject_unknown(raw, defaults, locator, problems)
     values: dict = {}
@@ -92,17 +105,39 @@ def _build(cls, raw: dict, locator: str, problems: list[str]):
     return None, {name: value for name, value in values.items() if name not in found}
 
 
+def _ends(raw, index: int, problems: list[str]) -> tuple[str | None, str | None]:
+    """The endpoints of segment ``index``, each None after its fault is
+    reported: a value that is not an object, then unknown keys, then a
+    missing or empty endpoint."""
+    if type(raw) is dict and len(raw) == 2:
+        a, b = raw.get("a"), raw.get("b")
+        if type(a) is str and type(b) is str and a and b:
+            return a, b
+    locator = f"segments[{index}]"
+    if not isinstance(raw, dict):
+        problems.append(f"{locator}: expected an object")
+        return None, None
+    _reject_unknown(raw, _SEGMENT_KEYS, locator, problems)
+    return _take(raw, "a", locator, problems), _take(raw, "b", locator, problems)
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse and fully validate a scenario JSON document.
 
-    Raises ScenarioSyntaxError for malformed JSON and ValidationError (with
-    one locator-bearing entry per problem) for anything schema-level. The
+    ``text`` is a str or bytes. Raises ScenarioSyntaxError for any other
+    type and for malformed JSON, and ValidationError (with one
+    locator-bearing entry per problem) for anything schema-level. The
     parser checks only the document's structure: objects, lists, unknown
     and missing keys. Each field's type and value rules are the ones the
     constructors and ``build_network`` apply, collected for every item.
-    Each check runs once per item, and a document that passes them all goes
-    straight to ``build_network``'s assembly step.
+    A valid item costs one constructor call (a segment, one shape check)
+    and one fault check; the full violation list is collected only for an
+    item that fails them. A document that passes every check goes straight
+    to ``build_network``'s assembly step.
     """
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise ScenarioSyntaxError(
+            f"expected the document as str or bytes, got {type(text).__name__}")
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -132,41 +167,30 @@ def parse_scenario(text: str) -> Scenario:
         problems.append("nodes: expected a non-empty list")
         raw_nodes = []
     for i, raw in enumerate(raw_nodes):
-        if not isinstance(raw, dict):
-            problems.append(f"nodes[{i}]: expected an object")
-            continue
-        node, values = _build(Node, raw, f"nodes[{i}]", problems)
+        node, values = _build(Node, raw, problems, "nodes", i)
         node_id = values.get("id")
         if node_id is not None:
-            problems.extend(map(str, node_faults(i, node_id, nodes)))
+            faults = node_faults(i, node_id, nodes)
+            if faults:
+                problems.extend(map(str, faults))
             nodes[node_id] = node
 
     # -- segments ------------------------------------------------------------
-    segment_specs: list[tuple[str, str]] = []
     seen_pairs: set[tuple[str, str]] = set()
     raw_segments = doc.get("segments", [])
     if not isinstance(raw_segments, list):
         problems.append("segments: expected a list")
         raw_segments = []
     for i, raw in enumerate(raw_segments):
-        locator = f"segments[{i}]"
-        if not isinstance(raw, dict):
-            problems.append(f"{locator}: expected an object")
-            continue
-        _reject_unknown(raw, _SEGMENT_KEYS, locator, problems)
-        a = _take(raw, "a", locator, problems)
-        b = _take(raw, "b", locator, problems)
-        if a is None or b is None:
-            continue
-        faults = segment_faults(i, a, b, nodes, seen_pairs)
-        if faults:
-            problems.extend(map(str, faults))
-        else:
-            segment_specs.append((a, b))
+        a, b = _ends(raw, i, problems)
+        if a is not None and b is not None:
+            faults = segment_faults(i, a, b, nodes, seen_pairs)
+            if faults:
+                problems.extend(map(str, faults))
 
     # -- drone and rig -------------------------------------------------------
-    drone, _ = _build(DroneConfig, _block(doc, "drone", problems), "drone", problems)
-    rig, _ = _build(StringRig, _block(doc, "rig", problems), "rig", problems)
+    drone, _ = _build(DroneConfig, _block(doc, "drone", problems), problems, "drone")
+    rig, _ = _build(StringRig, _block(doc, "rig", problems), problems, "rig")
 
     # -- packages ------------------------------------------------------------
     packages: list[Package] = []
@@ -176,11 +200,7 @@ def parse_scenario(text: str) -> Scenario:
         problems.append("packages: expected a list")
         raw_packages = []
     for i, raw in enumerate(raw_packages):
-        locator = f"packages[{i}]"
-        if not isinstance(raw, dict):
-            problems.append(f"{locator}: expected an object")
-            continue
-        package, values = _build(Package, raw, locator, problems)
+        package, values = _build(Package, raw, problems, "packages", i)
         problems.extend(map(str, package_faults(i, values.get("id"), values.get("destination"),
                                                  source, nodes, package_ids)))
         if package is not None:
@@ -196,7 +216,8 @@ def parse_scenario(text: str) -> Scenario:
     if problems:
         raise ValidationError(problems)
     try:
-        network = _assemble(nodes, segment_specs)
+        # Without problems every segment is an object with two known ends.
+        network = _assemble(nodes, map(_segment_pair, raw_segments))
     except SkywayError as exc:
         # Whole-network faults without a single field to point at, e.g.
         # a disconnected graph or coincident node positions.

@@ -15,9 +15,9 @@ from typing import TYPE_CHECKING, Collection, NamedTuple, Sequence
 from .errors import (BatteryDepleted, InconsistentAssignment, InvalidLevel, NegativePayload,
                      NonFiniteLength, ValidationError)
 from .graph import Path, SkywayNetwork
-from .planner import (PLANNERS, DroneConfig, HangingAssignment, MissionPlan, Package,
+from .planner import (PLANNERS, DroneConfig, HangingAssignment, MissionPlan, Package, _judge,
                       assign_levels, left_to_right_sum, level_violation,
-                      package_faults, plan_total_distance)
+                      package_faults, plan_total_distance, _type_violation)
 from .rules import as_number, check_fields, positive
 
 if TYPE_CHECKING:
@@ -214,27 +214,29 @@ class _Flight:
         """Sample ``fraction`` of a move toward (x, y, z) on the step grid and
         move the clock to its end; the caller places the drone."""
         x0, y0, z0, t0 = self.x, self.y, self.z, self.clock
-        battery0 = self.battery
         t1 = t0 + dist * fraction / speed
         if not math.isfinite(t1):
             raise NonFiniteLength(f"move to ({x}, {y}, {z}) takes no finite time")
+        # The loop invariants as locals. Each value is the one the formulas
+        # would give inline: battery0 - rate * speed * (ts - t0) evaluates
+        # rate * speed first.
+        start, end = t0 + _BOUNDARY_EPS, t1 - _BOUNDARY_EPS
+        dx, dy, dz, drain = x - x0, y - y0, z - z0, rate * speed
+        battery0, mass, step, samples = self.battery, self.payload_mass, self.step, self._samples
+        append, record = self.records.append, tuple.__new__
         while True:
-            ts = (self._samples + 1) * self.step
-            if ts >= t1 - _BOUNDARY_EPS:
+            ts = (samples + 1) * step
+            if ts >= end:
                 break
-            self._samples += 1
-            if ts <= t0 + _BOUNDARY_EPS:
+            samples += 1
+            if ts <= start:
                 continue
             f = (ts - t0) * speed / dist
-            self.records.append(TelemetryRecord(
-                ts,
-                x0 + (x - x0) * f,
-                y0 + (y - y0) * f,
-                z0 + (z - z0) * f,
-                self.payload_mass,
-                battery0 - rate * speed * (ts - t0),
-                "",
-            ))
+            # tuple.__new__ builds the record without TelemetryRecord's
+            # Python-level __new__.
+            append(record(TelemetryRecord, (ts, x0 + dx * f, y0 + dy * f, z0 + dz * f, mass,
+                                            battery0 - drain * (ts - t0), "")))
+        self._samples = samples
         self.clock = t1
 
 
@@ -271,8 +273,15 @@ def simulate_mission(network: SkywayNetwork, plan: MissionPlan,
     delivery legs descend until the hanging package touches the rooftop, pause
     for the release dwell, and let it go. The final leg lands back at the
     source. A dead battery cuts the flight short with an ABORT record.
-    ``assignment`` must equal ``assign_levels(plan)``.
+    ``assignment`` must equal ``assign_levels(plan)``. An argument of the
+    wrong type raises ValidationError.
     """
+    found = [_type_violation(name, value, kind)
+             for name, value, kind in (("network", network, SkywayNetwork),
+                                       ("plan", plan, MissionPlan), ("rig", rig, StringRig))]
+    if drone is None:  # a plan may leave out the drone, a flight may not
+        found.append(_type_violation("drone", drone, DroneConfig))
+    _judge(drone, packages, None, found)
     step, dwell = as_number(telemetry_step), as_number(release_dwell)
     if step is None or not step > 0:
         raise ValueError(f"telemetry_step must be a number > 0 (got {telemetry_step!r})")

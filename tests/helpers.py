@@ -5,8 +5,10 @@ from exhaustive DFS over simple paths, so Dijkstra has something independent
 to agree with; exact tie-breaking comes from a Dijkstra whose heap entries
 carry whole walks, so the predecessor-link one does; NDF plans come from
 the nearest-first rule over the full stop matrix, so the bounded search
-does; and optimal release orders come from scoring every permutation, so
-the Held–Karp planner does.
+does; optimal release orders come from scoring every permutation, so
+the Held–Karp planner does; and telemetry samples come from the sampling
+loop written out over the flight's attributes, so the loop that keeps its
+invariants in locals does.
 The telemetry CSV and the scenario document come from the standard
 library's general writers, ``csv.writer`` and ``json.dumps``, which the
 library's hand-built formats must match byte for byte.
@@ -34,6 +36,8 @@ from skyway_delivery import (
     generate_scenario,
     stop_matrix,
 )
+from skyway_delivery.errors import NonFiniteLength
+from skyway_delivery.simulator import _BOUNDARY_EPS, TelemetryRecord, _Flight
 
 N1_NODE_SPECS = [
     ("S", 0.0, 0.0, 0.0),
@@ -292,3 +296,37 @@ def json_dumps_scenario(scenario) -> str:
     doc["rig"] = asdict(scenario.rig)
     doc["packages"] = [asdict(package) for package in scenario.packages]
     return json.dumps(doc, indent=2) + "\n"
+
+
+def reference_advance(flight, x, y, z, dist, speed, rate, fraction):
+    """``_Flight._advance`` with every value read from the flight and
+    written inline in its formula; the oracle for the sampling loop."""
+    x0, y0, z0, t0 = flight.x, flight.y, flight.z, flight.clock
+    battery0 = flight.battery
+    t1 = t0 + dist * fraction / speed
+    if not math.isfinite(t1):
+        raise NonFiniteLength(f"move to ({x}, {y}, {z}) takes no finite time")
+    while True:
+        ts = (flight._samples + 1) * flight.step
+        if ts >= t1 - _BOUNDARY_EPS:
+            break
+        flight._samples += 1
+        if ts <= t0 + _BOUNDARY_EPS:
+            continue
+        f = (ts - t0) * speed / dist
+        flight.records.append(TelemetryRecord(
+            ts,
+            x0 + (x - x0) * f,
+            y0 + (y - y0) * f,
+            z0 + (z - z0) * f,
+            flight.payload_mass,
+            battery0 - rate * speed * (ts - t0),
+            "",
+        ))
+    flight.clock = t1
+
+
+class ReferenceFlight(_Flight):
+    """A flight whose samples come from ``reference_advance``."""
+
+    _advance = reference_advance

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -240,6 +241,14 @@ def test_segment_is_a_read_only_tuple():
         segment.length = 0.0
     with pytest.raises(AttributeError):
         segment.a = "C"
+
+
+def test_node_is_slotted_and_frozen():
+    node = Node("A", 1, 2)
+    assert not hasattr(node, "__dict__")
+    assert dataclasses.asdict(node) == {"id": "A", "x": 1.0, "y": 2.0, "rooftop_height": 0.0}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        node.x = 0.0
 
 
 @given(st.one_of(helpers.generated_networks(), helpers.lattice_networks()))

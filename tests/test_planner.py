@@ -439,6 +439,12 @@ def test_planners_raise_for_an_unreachable_destination(planner, destinations):
     (lambda net, pk: check_feasibility(1, [None], level_count="3"),
      ["drone: expected a DroneConfig, got int", "packages[0]: expected a Package, got NoneType",
       "level_count: expected an int, got str"]),
+    (lambda net, pk: plan_ndf(net, "S", None),
+     ["packages: expected a sequence of packages, got NoneType"]),
+    (lambda net, pk: plan_optimal(net, "S", iter(pk)),
+     ["packages: expected a sequence of packages, got list_iterator"]),
+    (lambda net, pk: check_feasibility(None, 5),
+     ["packages: expected a sequence of packages, got int"]),
 ])
 def test_planners_judge_the_types_of_their_arguments(n1_network, n1_packages, call, violations):
     with pytest.raises(ValidationError) as excinfo:

@@ -107,6 +107,16 @@ def test_malformed_json():
         parse_scenario("{not json")
 
 
+@pytest.mark.parametrize("text, name", [(5, "int"), (None, "NoneType"), (["{}"], "list")])
+def test_a_document_that_is_not_text_is_a_syntax_error(text, name):
+    with pytest.raises(ScenarioSyntaxError, match=f"got {name}$"):
+        parse_scenario(text)
+
+
+def test_a_document_in_bytes_parses():
+    assert parse_scenario(MINIMAL.encode()) == parse_scenario(MINIMAL)
+
+
 @pytest.mark.parametrize("text", ["[" * 100_000, '{"nodes": ' * 100_000])
 def test_json_nested_past_the_decoder_limit_is_a_syntax_error(text):
     with pytest.raises(ScenarioSyntaxError, match="^invalid JSON: "):
@@ -632,6 +642,30 @@ PINNED_VIOLATIONS = [
      ["network: network is disconnected; unreachable nodes: U"]),
     ("coincident_nodes", doc(nodes=[NODE_S, {"id": "T", "x": -0.0, "y": 0}]),
      ["network: segment 'S'-'T' joins coincident positions"]),
+    # Keys that name the constructor's own parameter or class attributes are
+    # unknown keys like any other.
+    ("node_keys_named_like_class_members",
+     doc(nodes=[{**NODE_S, "self": 1, "RULES": 2, "__class__": 3}, NODE_T]),
+     ["nodes[0].self: unknown key", "nodes[0].RULES: unknown key",
+      "nodes[0].__class__: unknown key"]),
+    ("package_keys_named_like_class_members",
+     doc(packages=[{**_package(), "__class__": 1, "self": 2, "RULES": 3}]),
+     ["packages[0].__class__: unknown key", "packages[0].self: unknown key",
+      "packages[0].RULES: unknown key"]),
+    ("drone_keys_named_like_class_members",
+     doc(drone={"RULES": 1, "__class__": 2, "self": 3}),
+     ["drone.RULES: unknown key", "drone.__class__: unknown key", "drone.self: unknown key"]),
+    ("rig_keys_named_like_class_members",
+     doc(rig={"self": 1, "__class__": 2, "RULES": 3}),
+     ["rig.self: unknown key", "rig.__class__: unknown key", "rig.RULES: unknown key"]),
+    # The node still builds, so the segment that names it finds it.
+    ("valid_node_with_unknown_key_is_still_known",
+     doc(nodes=[NODE_S, {**NODE_T, "z": 1}]),
+     ["nodes[1].z: unknown key"]),
+    ("segment_third_key", doc(segments=[{**SEG_ST, "length": 10}]),
+     ["segments[0].length: unknown key"]),
+    ("segment_numeric_endpoint", doc(segments=[{"a": 7, "b": "T"}]),
+     ["segments[0].a: expected a non-empty string"]),
 ]
 
 
@@ -657,6 +691,19 @@ def test_one_parse_checks_each_node_and_segment_once(monkeypatch):
     network = parse_scenario(text).network
     assert calls == {"node_faults": len(network.nodes),
                      "segment_faults": len(network.segments)}
+
+
+def test_a_valid_document_runs_no_item_diagnosis(monkeypatch):
+    text = serialize_scenario(generate_scenario(60, 4, seed=7))
+    calls = Counter()
+    for name in ("_reject_unknown", "_take", "field_violations"):
+        def counted(*args, original=getattr(scenario_module, name), name=name):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(scenario_module, name, counted)
+    parse_scenario(text)
+    # Only the document's own keys and its source are looked at one by one.
+    assert calls == {"_reject_unknown": 1, "_take": 1}
 
 
 def network_items(text):

@@ -10,6 +10,8 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import helpers
 import skyway_delivery
@@ -29,8 +31,9 @@ from skyway_delivery import (
     shortest_path,
     simulate_mission,
 )
-from skyway_delivery.errors import InconsistentAssignment, InvalidLevel, InvalidPackage
-from skyway_delivery.simulator import release_altitude
+from skyway_delivery.errors import (BatteryDepleted, InconsistentAssignment, InvalidLevel,
+                                    InvalidPackage, ValidationError)
+from skyway_delivery.simulator import _BOUNDARY_EPS, _Flight, release_altitude
 
 
 def events_of(log):
@@ -447,3 +450,89 @@ def test_a_repeated_package_id_is_rejected(n1_network, n1_packages):
         simulate_mission(n1_network, plan, assign_levels(plan), DroneConfig(),
                          StringRig(), packages)
     assert str(excinfo.value) == "packages[3].id: duplicate package id 'p1'"
+
+
+@pytest.mark.parametrize("argument, value, violation", [
+    ("packages", [1], "packages[0]: expected a Package, got int"),
+    ("packages", None, "packages: expected a sequence of packages, got NoneType"),
+    ("drone", "x", "drone: expected a DroneConfig, got str"),
+    ("drone", None, "drone: expected a DroneConfig, got NoneType"),
+    ("rig", "x", "rig: expected a StringRig, got str"),
+    ("plan", "x", "plan: expected a MissionPlan, got str"),
+    ("network", "x", "network: expected a SkywayNetwork, got str"),
+])
+def test_simulation_judges_the_types_of_its_arguments(n1_network, n1_packages, argument,
+                                                       value, violation):
+    plan = plan_ndf(n1_network, "S", n1_packages)
+    arguments = {"network": n1_network, "plan": plan, "assignment": assign_levels(plan),
+                 "drone": DroneConfig(), "rig": StringRig(), "packages": n1_packages,
+                 argument: value}
+    with pytest.raises(ValidationError) as excinfo:
+        simulate_mission(**arguments)
+    assert list(excinfo.value.violations) == [violation]
+
+
+def test_simulation_names_every_argument_of_the_wrong_type(n1_network):
+    plan = plan_ndf(n1_network, "S", [])
+    with pytest.raises(ValidationError) as excinfo:
+        simulate_mission("x", "x", assign_levels(plan), 1, [], 2)
+    assert list(excinfo.value.violations) == [
+        "network: expected a SkywayNetwork, got str",
+        "plan: expected a MissionPlan, got str",
+        "rig: expected a StringRig, got list",
+        "drone: expected a DroneConfig, got int",
+        "packages: expected a sequence of packages, got int",
+    ]
+
+
+# -- the sampling loop against its reference ----------------------------------
+
+# Bounds that keep a move to a few hundred samples, so that shrinking a
+# failure stays quick.
+coordinates = st.one_of(st.sampled_from([0.0, -0.0, 1.5]), st.floats(-20.0, 20.0))
+# Dyadic steps and whole-second holds put clocks exactly on grid points.
+steps = st.one_of(st.sampled_from([0.1, 0.125, 0.5, 1.0, math.inf]), st.floats(0.25, 3.0))
+# How far past a grid point a hold ends: exactly on it, or within (or just
+# beyond) the boundary tolerance on either side.
+grid_offsets = st.one_of(
+    st.sampled_from([0.0, _BOUNDARY_EPS, -_BOUNDARY_EPS, _BOUNDARY_EPS / 2, -_BOUNDARY_EPS / 2]),
+    st.floats(-3 * _BOUNDARY_EPS, 3 * _BOUNDARY_EPS))
+moves = st.one_of(
+    st.tuples(st.just("travel"), coordinates, coordinates, coordinates,
+              st.floats(1.0, 20.0), st.floats(0.0, 10.0)),
+    st.tuples(st.just("hold"), st.one_of(st.integers(0, 4).map(float), st.floats(0.0, 5.0))),
+    st.tuples(st.just("hold to grid"), st.integers(0, 3), grid_offsets),
+)
+
+
+def fly_moves(flight, moves):
+    """Apply each move to ``flight`` until one runs the battery dry."""
+    for kind, *args in moves:
+        if kind == "travel":
+            x, y, z, speed, flight.rate = args
+            try:
+                flight.travel(x, y, z, speed)
+            except BatteryDepleted:
+                return
+        elif kind == "hold":
+            flight.hold(args[0])
+        elif math.isfinite(flight.step):
+            # End within the offset of the k-th grid point past the clock.
+            k, offset = args
+            end = (math.floor(flight.clock / flight.step) + k) * flight.step + offset
+            flight.hold(max(0.0, end - flight.clock))
+
+
+@given(st.tuples(coordinates, coordinates, coordinates), st.floats(0.0, 2000.0),
+       st.floats(0.0, 5.0), steps, st.lists(moves, max_size=8))
+def test_sampling_loop_matches_its_reference(start, battery, payload, step, moves):
+    flights = [flight_class(*start, battery, payload, step)
+               for flight_class in (_Flight, helpers.ReferenceFlight)]
+    for flight in flights:
+        fly_moves(flight, moves)
+    fast, reference = flights
+    # repr tells -0.0 from 0.0, which == does not.
+    assert repr(fast.records) == repr(reference.records)
+    assert fast._samples == reference._samples
+    assert repr((fast.clock, fast.x, fast.y, fast.z, fast.battery)) == repr(
+        (reference.clock, reference.x, reference.y, reference.z, reference.battery))
