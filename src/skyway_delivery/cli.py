@@ -16,7 +16,7 @@ from .errors import InfeasiblePayload, ScenarioSyntaxError, SkywayError
 from .planner import PLANNERS, MissionPlan, assign_levels, plan_total_distance
 from .scenario import (
     Scenario,
-    export_telemetry,
+    _csv_chunks,
     generate_scenario,
     parse_scenario,
     serialize_report,
@@ -92,8 +92,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
                                    scenario.drone, scenario.rig, scenario.packages,
                                    telemetry_step=step)
     if args.telemetry:
-        Path(args.telemetry).write_text(export_telemetry(log),
-                                        encoding="utf-8", newline="")
+        # The CSV goes out piece by piece, so no text of the whole log is built.
+        with open(args.telemetry, "w", encoding="utf-8", newline="") as file:
+            file.writelines(_csv_chunks(log))
     if args.report:
         Path(args.report).write_text(serialize_report(report),
                                      encoding="utf-8", newline="")

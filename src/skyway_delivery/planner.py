@@ -136,6 +136,13 @@ def _type_violation(name: str, value, kind: type) -> str | None:
     return f"{name}: expected a {kind.__name__}, got {type(value).__name__}"
 
 
+def _require(name: str, value, kind: type) -> None:
+    """Raise ValidationError when the argument ``name`` is not a ``kind``."""
+    violation = _type_violation(name, value, kind)
+    if violation is not None:
+        raise ValidationError([violation])
+
+
 def _feasibility(drone: DroneConfig | None, packages: Sequence[Package],
                  level_count: int | None) -> FeasibilityReport:
     """``check_feasibility`` of arguments already judged."""
@@ -408,11 +415,13 @@ def _bits_float(bits: int) -> float:
 
 def assign_levels(plan: MissionPlan) -> HangingAssignment:
     """Hang the i-th released package at level i, so releases run bottom to top."""
+    _require("plan", plan, MissionPlan)
     level_of = {pid: i for i, pid in enumerate(plan.release_order, start=1)}
     return HangingAssignment(level_of=level_of, level_count=len(level_of))
 
 
 def plan_total_distance(plan: MissionPlan) -> float:
+    _require("plan", plan, MissionPlan)
     return left_to_right_sum(leg.path.total_length for leg in plan.legs)
 
 

@@ -9,15 +9,19 @@ flies the NDF and the exhaustive plan of one scenario side by side.
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_right
+from collections import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Collection, NamedTuple, Sequence
+from itertools import accumulate
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (BatteryDepleted, InconsistentAssignment, InvalidLevel, NegativePayload,
                      NonFiniteLength, ValidationError)
 from .graph import Path, SkywayNetwork
 from .planner import (PLANNERS, DroneConfig, HangingAssignment, MissionPlan, Package, _judge,
-                      assign_levels, left_to_right_sum, level_violation,
-                      package_faults, plan_total_distance, _type_violation)
+                      _require, _type_violation, assign_levels, left_to_right_sum,
+                      level_violation, package_faults, plan_total_distance)
 from .rules import as_number, check_fields, positive
 
 if TYPE_CHECKING:
@@ -85,7 +89,79 @@ class TelemetryRecord(NamedTuple):
     event: str = ""
 
 
-TelemetryLog = list[TelemetryRecord]
+class _Move(NamedTuple):
+    """The samples of one move: grid points ``first``..``last`` of the step
+    grid, each made from these constants as the sampling loop makes it."""
+
+    t0: float
+    x0: float
+    y0: float
+    z0: float
+    dx: float
+    dy: float
+    dz: float
+    speed: float
+    dist: float
+    drain: float      # joules per second: rate * speed
+    battery0: float
+    mass: float
+    step: float
+    first: int
+    last: int
+
+    def records(self, lo: int, hi: int) -> Iterator[TelemetryRecord]:
+        """The samples at grid points ``lo``..``hi - 1``."""
+        t0, x0, y0, z0, dx, dy, dz, speed, dist, drain, battery0, mass, step, _, _ = self
+        record = tuple.__new__  # skips TelemetryRecord's Python-level __new__
+        for k in range(lo, hi):
+            ts = k * step
+            f = (ts - t0) * speed / dist
+            yield record(TelemetryRecord, (ts, x0 + dx * f, y0 + dy * f, z0 + dz * f, mass,
+                                           battery0 - drain * (ts - t0), ""))
+
+
+class TelemetryLog(abc.Sequence):
+    """A flight's telemetry: a read-only sequence of ``TelemetryRecord``s,
+    one per CSV row, made on demand.
+
+    The log holds one run per event (the record itself) and per move (its
+    samples as a ``_Move``), so its memory grows with the number of moves,
+    not of rows. ``list(log)`` gives the records as a list; a slice is a
+    list too.
+    """
+
+    __slots__ = ("_runs", "_ends")
+
+    def __init__(self, runs: Iterable[TelemetryRecord | _Move]):
+        self._runs = runs = tuple(runs)
+        # _ends[r] is the number of rows up to and including run r.
+        self._ends = list(accumulate(run.last - run.first + 1 if type(run) is _Move else 1
+                                     for run in runs))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __iter__(self) -> Iterator[TelemetryRecord]:
+        for run in self._runs:
+            if type(run) is _Move:
+                yield from run.records(run.first, run.last + 1)
+            else:
+                yield run
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("telemetry log index out of range")
+        r = bisect_right(self._ends, i)
+        run = self._runs[r]
+        if type(run) is not _Move:
+            return run
+        k = run.last + 1 - self._ends[r] + i
+        return next(run.records(k, k + 1))
 
 
 def consumption_rate(drone: DroneConfig, payload_mass: float) -> float:
@@ -93,9 +169,11 @@ def consumption_rate(drone: DroneConfig, payload_mass: float) -> float:
 
     The airframe's own mass is a constant load and is already folded into
     the drone's base rate. Two finite rates can add up to an infinite one;
-    such a drone cannot fly, so it raises ValidationError. A payload that is
-    not a number raises ValueError.
+    such a drone cannot fly, so it raises ValidationError, as does a
+    ``drone`` that is not a DroneConfig. A payload that is not a number
+    raises ValueError.
     """
+    _require("drone", drone, DroneConfig)
     mass = as_number(payload_mass)
     if mass is None:
         raise ValueError(f"payload mass must be a number, got {type(payload_mass).__name__}")
@@ -149,9 +227,29 @@ def release_altitude(node, rig: StringRig, level: int) -> float:
     return node.rooftop_height + rig.hang(level)
 
 
+def _grid_count(t: float, step: float, before) -> int:
+    """How many grid points ``k * step`` (k = 1, 2, ...) lie ``before`` t,
+    where ``before`` is ``operator.lt`` or ``operator.le``.
+
+    ``k * step`` never falls as k grows, so these are k = 1..n. The estimate
+    ``t / step`` is corrected with the comparisons the sampling loop makes.
+    From 2**53 on, consecutive k share one float, so such a count raises
+    NonFiniteLength.
+    """
+    estimate = t / step
+    if not estimate < 2**53:
+        raise NonFiniteLength(f"{t} s hold 2**53 or more telemetry steps of {step} s")
+    k = max(0, int(estimate))
+    while k > 0 and not before(k * step, t):
+        k -= 1
+    while before((k + 1) * step, t):
+        k += 1
+    return k
+
+
 class _Flight:
     """The one mutable flight state: position, clock, battery charge in
-    joules, payload, the current leg's joules per metre, telemetry."""
+    joules, payload, the current leg's joules per metre, telemetry runs."""
 
     def __init__(self, x: float, y: float, z: float, battery: float,
                  payload_mass: float, telemetry_step: float):
@@ -161,7 +259,7 @@ class _Flight:
         self.rate = 0.0
         self.payload_mass = payload_mass
         self.step = telemetry_step
-        self.records: TelemetryLog = []
+        self.records: list[TelemetryRecord | _Move] = []
         self.total_distance = 0.0
         self.leg_distance = 0.0
         self._samples = 0
@@ -211,32 +309,28 @@ class _Flight:
 
     def _advance(self, x: float, y: float, z: float, dist: float, speed: float,
                  rate: float, fraction: float) -> None:
-        """Sample ``fraction`` of a move toward (x, y, z) on the step grid and
-        move the clock to its end; the caller places the drone."""
+        """Record the samples of ``fraction`` of a move toward (x, y, z) as
+        one ``_Move`` and move the clock to its end; the caller places the
+        drone.
+
+        The samples are the ones a loop over the step grid takes: grid
+        point k (counted on from the last one taken) while k * step is below
+        the move's end less _BOUNDARY_EPS, kept when above its start plus
+        _BOUNDARY_EPS.
+        """
         x0, y0, z0, t0 = self.x, self.y, self.z, self.clock
         t1 = t0 + dist * fraction / speed
         if not math.isfinite(t1):
             raise NonFiniteLength(f"move to ({x}, {y}, {z}) takes no finite time")
-        # The loop invariants as locals. Each value is the one the formulas
-        # would give inline: battery0 - rate * speed * (ts - t0) evaluates
-        # rate * speed first.
-        start, end = t0 + _BOUNDARY_EPS, t1 - _BOUNDARY_EPS
-        dx, dy, dz, drain = x - x0, y - y0, z - z0, rate * speed
-        battery0, mass, step, samples = self.battery, self.payload_mass, self.step, self._samples
-        append, record = self.records.append, tuple.__new__
-        while True:
-            ts = (samples + 1) * step
-            if ts >= end:
-                break
-            samples += 1
-            if ts <= start:
-                continue
-            f = (ts - t0) * speed / dist
-            # tuple.__new__ builds the record without TelemetryRecord's
-            # Python-level __new__.
-            append(record(TelemetryRecord, (ts, x0 + dx * f, y0 + dy * f, z0 + dz * f, mass,
-                                            battery0 - drain * (ts - t0), "")))
-        self._samples = samples
+        step, taken = self.step, self._samples
+        last = max(taken, _grid_count(t1 - _BOUNDARY_EPS, step, operator.lt))
+        first = max(taken, _grid_count(t0 + _BOUNDARY_EPS, step, operator.le)) + 1
+        if first <= last:
+            # rate * speed is evaluated first, as in battery0 - rate * speed * (ts - t0).
+            self.records.append(_Move(t0, x0, y0, z0, x - x0, y - y0, z - z0, speed, dist,
+                                      rate * speed, self.battery, self.payload_mass, step,
+                                      first, last))
+        self._samples = last
         self.clock = t1
 
 
@@ -362,7 +456,7 @@ def simulate_mission(network: SkywayNetwork, plan: MissionPlan,
         end_position=(flight.x, flight.y, flight.z),
         abort_reason=abort_reason,
     )
-    return flight.records, report
+    return TelemetryLog(flight.records), report
 
 
 @dataclass(frozen=True)

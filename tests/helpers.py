@@ -7,8 +7,8 @@ carry whole walks, so the predecessor-link one does; NDF plans come from
 the nearest-first rule over the full stop matrix, so the bounded search
 does; optimal release orders come from scoring every permutation, so
 the Held–Karp planner does; and telemetry samples come from the sampling
-loop written out over the flight's attributes, so the loop that keeps its
-invariants in locals does.
+loop written out over the flight's attributes, so the flight's moves, whose
+rows are made only when they are read, do.
 The telemetry CSV and the scenario document come from the standard
 library's general writers, ``csv.writer`` and ``json.dumps``, which the
 library's hand-built formats must match byte for byte.
@@ -299,8 +299,9 @@ def json_dumps_scenario(scenario) -> str:
 
 
 def reference_advance(flight, x, y, z, dist, speed, rate, fraction):
-    """``_Flight._advance`` with every value read from the flight and
-    written inline in its formula; the oracle for the sampling loop."""
+    """``_Flight._advance`` as a loop over the step grid that appends each
+    sample, every value read from the flight and written inline in its
+    formula; the oracle for the rows of the flight's moves."""
     x0, y0, z0, t0 = flight.x, flight.y, flight.z, flight.clock
     battery0 = flight.battery
     t1 = t0 + dist * fraction / speed

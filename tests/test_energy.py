@@ -58,6 +58,12 @@ def test_rate_rejects_a_payload_that_is_not_a_number(payload):
         consumption_rate(DroneConfig(), payload)
 
 
+def test_rate_judges_the_type_of_its_drone():
+    with pytest.raises(ValidationError) as excinfo:
+        consumption_rate("x", 1)
+    assert list(excinfo.value.violations) == ["drone: expected a DroneConfig, got str"]
+
+
 def test_rate_reads_an_int_payload_as_a_float():
     drone = DroneConfig()
     assert consumption_rate(drone, 6) == consumption_rate(drone, 6.0)

@@ -445,6 +445,8 @@ def test_planners_raise_for_an_unreachable_destination(planner, destinations):
      ["packages: expected a sequence of packages, got list_iterator"]),
     (lambda net, pk: check_feasibility(None, 5),
      ["packages: expected a sequence of packages, got int"]),
+    (lambda net, pk: assign_levels("x"), ["plan: expected a MissionPlan, got str"]),
+    (lambda net, pk: plan_total_distance("x"), ["plan: expected a MissionPlan, got str"]),
 ])
 def test_planners_judge_the_types_of_their_arguments(n1_network, n1_packages, call, violations):
     with pytest.raises(ValidationError) as excinfo:

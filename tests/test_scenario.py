@@ -401,6 +401,17 @@ def test_export_telemetry_empty_log():
     assert export_telemetry([]) == "t,x,y,z,payload_mass,battery_remaining,event\n"
 
 
+@pytest.mark.parametrize("log, violations", [
+    ([1], ["log[0]: expected a TelemetryRecord, got int"]),
+    (None, ["log: expected a Sequence, got NoneType"]),
+    (5, ["log: expected a Sequence, got int"]),
+])
+def test_export_telemetry_judges_its_argument(log, violations):
+    with pytest.raises(ValidationError) as excinfo:
+        export_telemetry(log)
+    assert list(excinfo.value.violations) == violations
+
+
 def test_export_telemetry_single_record():
     from skyway_delivery import TelemetryRecord
 

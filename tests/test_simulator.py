@@ -2,15 +2,17 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import os
 import pathlib
 import resource
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import helpers
@@ -23,9 +25,11 @@ from skyway_delivery import (
     Package,
     Path,
     StringRig,
+    TelemetryLog,
     assign_levels,
     build_network,
     cruise_altitude,
+    export_telemetry,
     generate_scenario,
     plan_ndf,
     shortest_path,
@@ -33,7 +37,7 @@ from skyway_delivery import (
 )
 from skyway_delivery.errors import (BatteryDepleted, InconsistentAssignment, InvalidLevel,
                                     InvalidPackage, ValidationError)
-from skyway_delivery.simulator import _BOUNDARY_EPS, _Flight, release_altitude
+from skyway_delivery.simulator import _BOUNDARY_EPS, _Flight, _grid_count, release_altitude
 
 
 def events_of(log):
@@ -381,6 +385,24 @@ def test_overflowing_move_duration_raises_instead_of_hanging():
     raises_non_finite_in_a_capped_child(0.0, {"cruise_speed": 1e-320}, (3.0, 2.0, 1.0))
 
 
+def test_a_move_of_2_53_telemetry_steps_raises_instead_of_hanging():
+    # From 2**53 on, consecutive grid indices share one float.
+    raises_non_finite_in_a_capped_child(0.0, {"cruise_speed": 1e-300}, (3.0, 2.0, 1.0))
+
+
+def test_a_long_dwell_keeps_the_flight_small():
+    tracemalloc.start()
+    try:
+        log, _ = fly_n1(release_dwell=2000.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(log) == 60_637
+    assert peak < 1 << 20
+    # The export runs over many pieces of text; csv.writer agrees with it.
+    assert export_telemetry(log) == helpers.csv_writer_export(log)
+
+
 def test_release_dwell_samples_hold_position_payload_and_battery():
     log, report = fly_n1()
     release_t = report.releases[0][2]
@@ -531,8 +553,60 @@ def test_sampling_loop_matches_its_reference(start, battery, payload, step, move
     for flight in flights:
         fly_moves(flight, moves)
     fast, reference = flights
+    fast_log, reference_log = TelemetryLog(fast.records), TelemetryLog(reference.records)
     # repr tells -0.0 from 0.0, which == does not.
-    assert repr(fast.records) == repr(reference.records)
+    assert repr(list(fast_log)) == repr(list(reference_log))
+    assert export_telemetry(fast_log) == export_telemetry(reference_log)
     assert fast._samples == reference._samples
     assert repr((fast.clock, fast.x, fast.y, fast.z, fast.battery)) == repr(
         (reference.clock, reference.x, reference.y, reference.z, reference.battery))
+
+
+@example(118, 0.01, 0, operator.le)  # 118 * 0.01 == 1.18 but 1.18 / 0.01 < 118
+@given(st.integers(0, 3000), steps, st.integers(-2, 2),
+       st.sampled_from([operator.lt, operator.le]))
+def test_grid_count_matches_the_loop(k, step, ulps, before):
+    t = k * step if math.isfinite(step) else float(k)
+    for _ in range(abs(ulps)):
+        t = math.nextafter(t, math.copysign(math.inf, ulps))
+    count = 0
+    while before((count + 1) * step, t):
+        count += 1
+    assert _grid_count(t, step, before) == count
+
+
+# -- the telemetry log as a sequence ------------------------------------------
+
+@given(st.integers(2, 10), st.integers(0, 3), st.integers(0, 10**6),
+       st.one_of(st.none(), st.floats(1.0, 1500.0)), st.floats(0.0, 5.0),
+       st.one_of(st.sampled_from([0.1, 0.125, 0.5, 1.0, math.inf]), st.floats(0.05, 3.0)),
+       st.data())
+def test_the_log_reads_as_the_list_of_its_records(node_count, package_count, seed, battery,
+                                                  dwell, step, data):
+    """A battery of at most 1500 J runs out partway through many of these 60 m
+    missions."""
+    scenario = generate_scenario(node_count, min(package_count, node_count - 1), seed,
+                                 area=(60.0, 60.0))
+    drone = scenario.drone
+    if battery is not None:
+        drone = dataclasses.replace(drone, battery_capacity=battery)
+    plan = plan_ndf(scenario.network, scenario.source, scenario.packages)
+    log, _ = simulate_mission(scenario.network, plan, assign_levels(plan), drone,
+                              scenario.rig, scenario.packages, release_dwell=dwell,
+                              telemetry_step=step)
+    records = list(log)
+    n = len(records)
+    assert len(log) == n
+    # repr tells -0.0 from 0.0, which == does not.
+    assert repr([log[i] for i in range(-n, n)]) == repr(records + records)
+    assert repr(log[-1]) == repr(records[-1])
+    for index in (n, -n - 1):
+        with pytest.raises(IndexError):
+            log[index]
+    bounds = st.one_of(st.none(), st.integers(-n - 2, n + 2))
+    window = slice(data.draw(bounds), data.draw(bounds),
+                   data.draw(st.sampled_from([None, 1, 2, 7, -1, -3])))
+    assert repr(log[window]) == repr(records[window])
+    # The export formats the moves' rows from their constants, and each
+    # record of the list on its own.
+    assert export_telemetry(log) == export_telemetry(records)
