@@ -2,8 +2,9 @@
 
 The package splits into four pieces: ``graph`` (the rooftop network),
 ``planner`` (release-order strategies), ``simulator`` (kinematic mission
-execution and its payload-linear energy model) and ``scenario``/``cli``
-(document I/O and the command-line front end).
+execution, its telemetry and CSV export, and the payload-linear energy
+model) and ``scenario``/``cli`` (document I/O and the command-line front
+end).
 """
 from __future__ import annotations
 
@@ -36,7 +37,6 @@ from .planner import (
 )
 from .scenario import (
     Scenario,
-    export_telemetry,
     generate_scenario,
     parse_scenario,
     serialize_report,
@@ -55,8 +55,7 @@ from .simulator import (
     TelemetryRecord,
     compare_strategies,
     consumption_rate,
-    cruise_altitude,
-    release_altitude,
+    export_telemetry,
     simulate_mission,
 )
 
@@ -91,7 +90,6 @@ __all__ = [
     "cli_main",
     "compare_strategies",
     "consumption_rate",
-    "cruise_altitude",
     "errors",
     "export_telemetry",
     "generate_scenario",
@@ -100,7 +98,6 @@ __all__ = [
     "plan_ndf",
     "plan_optimal",
     "plan_total_distance",
-    "release_altitude",
     "serialize_report",
     "serialize_scenario",
     "shortest_path",

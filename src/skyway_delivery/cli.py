@@ -14,9 +14,9 @@ from pathlib import Path
 
 from .errors import InfeasiblePayload, ScenarioSyntaxError, SkywayError
 from .planner import PLANNERS, MissionPlan, assign_levels, plan_total_distance
+from .rules import _require
 from .scenario import (
     Scenario,
-    _csv_chunks,
     generate_scenario,
     parse_scenario,
     serialize_report,
@@ -27,6 +27,7 @@ from .simulator import (  # noqa: F401
     DEFAULT_TELEMETRY_STEP,
     CompareResult,
     StrategyOutcome,
+    _csv_chunks,
     compare_strategies,
     simulate_mission,
 )
@@ -92,9 +93,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
                                    scenario.drone, scenario.rig, scenario.packages,
                                    telemetry_step=step)
     if args.telemetry:
+        # A log over the row budget is refused here, before the file is opened.
         # The CSV goes out piece by piece, so no text of the whole log is built.
+        chunks = _csv_chunks(log)
         with open(args.telemetry, "w", encoding="utf-8", newline="") as file:
-            file.writelines(_csv_chunks(log))
+            file.writelines(chunks)
     if args.report:
         Path(args.report).write_text(serialize_report(report),
                                      encoding="utf-8", newline="")
@@ -179,6 +182,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cli_main(argv: list[str] | None = None) -> int:
+    """Run the command in ``argv`` (default: the process's arguments) and
+    return its exit code. An ``argv`` that is not a list of str raises
+    ValidationError."""
+    if argv is not None:
+        _require("argv", argv, list)
+        for i, arg in enumerate(argv):
+            _require(f"argv[{i}]", arg, str)
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:

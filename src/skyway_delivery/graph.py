@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import abc
 from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, NamedTuple
 
@@ -22,7 +23,7 @@ from .errors import (
     ValidationError,
     ZeroLengthSegment,
 )
-from .rules import check_fields, finite, non_empty, non_negative
+from .rules import _require, check_fields, finite, non_empty, non_negative
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,9 +76,11 @@ class SkywayNetwork:
     adjacency: dict[str, tuple[tuple[str, float], ...]]
 
     def node(self, node_id: str) -> Node:
+        """The node ``node_id``; UnknownNode for any other value, an
+        unhashable one included."""
         try:
             return self.nodes[node_id]
-        except KeyError:
+        except (KeyError, TypeError):
             raise UnknownNode(f"unknown node {node_id!r}") from None
 
 
@@ -122,7 +125,10 @@ def build_network(node_specs: Iterable[Node | tuple],
     ``node_faults`` or ``segment_faults`` finds (DuplicateNodeId,
     UnknownEndpoint, SelfLoopSegment or DuplicateSegment); then
     ZeroLengthSegment, NonFiniteLength or DisconnectedNetwork as appropriate.
+    Either argument that is not iterable raises ValidationError first.
     """
+    _require("node_specs", node_specs, abc.Iterable)
+    _require("segment_specs", segment_specs, abc.Iterable)
     nodes: dict[str, Node] = {}
     for i, spec in enumerate(node_specs):
         if not isinstance(spec, Node):
@@ -210,13 +216,13 @@ def shortest_paths_from(network: SkywayNetwork, source: str,
     ``targets`` the search ends once each target is settled and returns
     exactly the targets' paths. Raises UnknownNode for an unknown source or
     target, and DisconnectedNetwork naming the targets (without ``targets``,
-    the nodes) that no path reaches.
+    the nodes) that no path reaches, and ValidationError for a ``network``
+    that is not a SkywayNetwork or ``targets`` that are not iterable.
     """
+    _require("network", network, SkywayNetwork)
     network.node(source)
     if targets is not None:
-        targets = list(dict.fromkeys(targets))
-        for target in targets:
-            network.node(target)
+        targets = _distinct_nodes(network, "targets", targets)
     pending = set(network.adjacency if targets is None else targets)
     prev: dict[str, str | None] = {}
     dist: dict[str, float] = {}  # the settled nodes, in settling order
@@ -228,13 +234,19 @@ def shortest_paths_from(network: SkywayNetwork, source: str,
                 break
         else:
             raise DisconnectedNetwork(pending)
-    if targets is not None:
-        return {target: Path(_walk(prev, target), dist[target]) for target in targets}
-    walks: dict[str, tuple[str, ...]] = {}
-    for node in dist:
-        before = prev[node]
-        walks[node] = (node,) if before is None else walks[before] + (node,)
-    return {node: Path(walk, dist[node]) for node, walk in walks.items()}
+    return {node: Path(_walk(prev, node), dist[node])
+            for node in (dist if targets is None else targets)}
+
+
+def _distinct_nodes(network: SkywayNetwork, name: str, node_ids) -> list[str]:
+    """The argument ``name``, ``node_ids``, without repeats in first-seen
+    order, once it is iterable (else ValidationError) and each item names
+    a node (else UnknownNode)."""
+    _require(name, node_ids, abc.Iterable)
+    node_ids = list(node_ids)
+    for node_id in node_ids:
+        network.node(node_id)
+    return list(dict.fromkeys(node_ids))
 
 
 def _nearest_stops(network: SkywayNetwork, source: str,
@@ -322,9 +334,11 @@ def stop_matrix(network: SkywayNetwork, stops: Iterable[str]) -> dict[str, dict[
 
     One Dijkstra per distinct stop, first stop first, each ending once every
     stop is settled. Raises DisconnectedNetwork naming the stops that no
-    path from the first stop reaches.
+    path from the first stop reaches, and UnknownNode or ValidationError as
+    ``shortest_paths_from`` does.
     """
-    distinct = list(dict.fromkeys(stops))
+    _require("network", network, SkywayNetwork)
+    distinct = _distinct_nodes(network, "stops", stops)
     return {stop: shortest_paths_from(network, stop, distinct) for stop in distinct}
 
 

@@ -17,7 +17,8 @@ from .errors import (
     UnknownDestination,
     ValidationError,
 )
-from .rules import as_number, check_fields, finite, integer, non_empty, non_negative, positive
+from .rules import (_require, _type_violation, as_number, check_fields, finite, integer,
+                    non_empty, non_negative, positive)
 from .graph import Path, SkywayNetwork, _nearest_stops, shortest_path, stop_matrix
 
 # The largest manifest the Held–Karp planner takes: the largest that plans
@@ -129,20 +130,6 @@ def _judge(drone: DroneConfig | None, packages: Sequence[Package],
         raise ValidationError(filter(None, violations))
 
 
-def _type_violation(name: str, value, kind: type) -> str | None:
-    """The violation of an argument ``name`` that is not a ``kind``, or None."""
-    if isinstance(value, kind):
-        return None
-    return f"{name}: expected a {kind.__name__}, got {type(value).__name__}"
-
-
-def _require(name: str, value, kind: type) -> None:
-    """Raise ValidationError when the argument ``name`` is not a ``kind``."""
-    violation = _type_violation(name, value, kind)
-    if violation is not None:
-        raise ValidationError([violation])
-
-
 def _feasibility(drone: DroneConfig | None, packages: Sequence[Package],
                  level_count: int | None) -> FeasibilityReport:
     """``check_feasibility`` of arguments already judged."""
@@ -199,7 +186,7 @@ def _checked(network: SkywayNetwork, source: str, packages: Sequence[Package],
              drone: DroneConfig | None, level_count: int | None) -> list[Package]:
     """The packages in id order, once they are fit to plan from ``source``;
     else raise."""
-    _judge(drone, packages, level_count)
+    _judge(drone, packages, level_count, [_type_violation("network", network, SkywayNetwork)])
     network.node(source)
     seen_ids: set[str] = set()
     for i, package in enumerate(packages):
@@ -296,8 +283,12 @@ def optimal_order(dist: Sequence[Sequence[float]]) -> tuple[tuple[int, ...], flo
     that is not the least can still round to the minimal total.
 
     Raises ValueError when ``dist`` is empty or not square, or holds an
-    entry that is not a number >= 0; +inf is one.
+    entry that is not a number >= 0; +inf is one. It is a ValidationError
+    when ``dist`` or a row of it is not a sequence.
     """
+    _require("dist", dist, abc.Sequence)
+    for a, row in enumerate(dist):
+        _require(f"dist[{a}]", row, abc.Sequence)
     if not dist or any(len(row) != len(dist) for row in dist):
         raise ValueError("dist must be a non-empty square matrix")
     for a, row in enumerate(dist):

@@ -34,6 +34,21 @@ def non_empty(name, value):
     return None if isinstance(value, str) and value else f"{name}: expected a non-empty string"
 
 
+def _type_violation(name: str, value, kind: type) -> str | None:
+    """The violation of an argument ``name`` that is not a ``kind``, or None."""
+    if isinstance(value, kind):
+        return None
+    article = "an" if kind.__name__[0] in "AEIOU" else "a"
+    return f"{name}: expected {article} {kind.__name__}, got {type(value).__name__}"
+
+
+def _require(name: str, value, kind: type) -> None:
+    """Raise ValidationError when the argument ``name`` is not a ``kind``."""
+    violation = _type_violation(name, value, kind)
+    if violation is not None:
+        raise ValidationError([violation])
+
+
 def integer(name, value):
     """The count rule: an int, never a bool. The caller judges its range."""
     if isinstance(value, int) and not isinstance(value, bool):

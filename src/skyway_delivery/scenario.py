@@ -10,18 +10,15 @@ from __future__ import annotations
 import json
 import math
 import random
-from collections import abc
 from operator import itemgetter
 from dataclasses import MISSING, asdict, dataclass, fields
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import Iterator
 
 from .errors import InvalidParams, ScenarioSyntaxError, SkywayError, ValidationError
 from .graph import Node, SkywayNetwork, _assemble, build_network, node_faults, segment_faults
-from .planner import (DroneConfig, Package, _require, _type_violation, level_violation,
-                      package_faults)
-from .rules import as_number, field_violations, integer, non_empty
-from .simulator import MissionReport, StringRig, TelemetryLog, TelemetryRecord, _Move
+from .planner import DroneConfig, Package, level_violation, package_faults
+from .rules import _require, as_number, field_violations, integer, non_empty
+from .simulator import MissionReport, StringRig
 
 _TOP_KEYS = {"label", "source", "nodes", "segments", "drone", "rig", "packages"}
 _SEGMENT_KEYS = {"a", "b"}
@@ -250,6 +247,7 @@ def serialize_scenario(scenario: Scenario) -> str:
     with the encoder's C string routine and ``repr`` of each float rather
     than its pure-Python indenting encoder.
     """
+    _require("scenario", scenario, Scenario)
     network = scenario.network
     nodes = [_NODE_JSON % (_json_string(node.id), node.x, node.y, node.rooftop_height)
              for node in sorted(network.nodes.values(), key=lambda n: n.id)]
@@ -359,94 +357,9 @@ def generate_scenario(node_count: int, package_count: int, seed: int,
                     rig=rig, packages=packages, label=label)
 
 
-_CSV_HEADER = "t,x,y,z,payload_mass,battery_remaining,event\n"
-_CSV_ROW = "%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%s\n"
-_CHUNK_ROWS = 4096  # _csv_chunks yields a piece of text once it holds this many rows
-
-
-def _csv_field(text: str) -> str:
-    """``text`` as a CSV field: quoted, with each ``"`` doubled, only when it
-    holds a comma, a quote or a newline. Every other character, ``\\r`` and
-    NUL included, is written as it is, whatever the Python version."""
-    if "," in text or '"' in text or "\n" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def _move_rows(move: _Move, lo: int, hi: int) -> list[str]:
-    """The CSV rows of ``move``'s samples at grid points ``lo``..``hi - 1``.
-
-    Each value is the one ``_Move.records`` gives. A column whose change
-    over the move is zero holds one value on every row, so it is formatted
-    once into the row template: the payload always, x and y on a vertical
-    move or a hold, z on a cruise, the battery on a hold.
-    """
-    t0, x0, y0, z0, dx, dy, dz, speed, dist, drain, battery0, mass, step, _, _ = move
-    ts = lo * step
-    f = (ts - t0) * speed / dist
-    x, y, z, payload, battery = ("%.6f" % value for value in (
-        x0 + dx * f, y0 + dy * f, z0 + dz * f, mass, battery0 - drain * (ts - t0)))
-    grid = map(step.__rmul__, range(lo, hi))
-    if dx == dy == dz == drain == 0.0:
-        return list(map(f"%.6f,{x},{y},{z},{payload},{battery},\n".__mod__, grid))
-    if dx == dy == 0.0:
-        row = f"%.6f,{x},{y},%.6f,{payload},%.6f,\n"
-        return [row % (ts, z0 + dz * ((ts - t0) * speed / dist), battery0 - drain * (ts - t0))
-                for ts in grid]
-    if dz == 0.0:
-        row = f"%.6f,%.6f,%.6f,{z},{payload},%.6f,\n"
-        return [row % (ts, x0 + dx * (f := (ts - t0) * speed / dist), y0 + dy * f,
-                       battery0 - drain * (ts - t0))
-                for ts in grid]
-    return list(map(_CSV_ROW.__mod__, move.records(lo, hi)))
-
-
-def _csv_chunks(log: TelemetryLog | abc.Sequence[TelemetryRecord]) -> Iterator[str]:
-    """The telemetry CSV of ``log``, header first, in pieces of text of
-    fewer than ``2 * _CHUNK_ROWS`` rows each.
-
-    ``log`` is a TelemetryLog, whose runs are records and moves, or a
-    sequence of TelemetryRecords, each a run of one row. Anything else
-    raises ValidationError before the first piece.
-    """
-    if isinstance(log, TelemetryLog):
-        runs = log._runs
-    else:
-        _require("log", log, abc.Sequence)
-        found = [_type_violation(f"log[{i}]", record, TelemetryRecord)
-                 for i, record in enumerate(log) if not isinstance(record, TelemetryRecord)]
-        if found:
-            raise ValidationError(found)
-        runs = log
-    yield _CSV_HEADER
-    rows: list[str] = []
-    for run in runs:
-        if type(run) is _Move:
-            for lo in range(run.first, run.last + 1, _CHUNK_ROWS):
-                rows += _move_rows(run, lo, min(lo + _CHUNK_ROWS, run.last + 1))
-                if len(rows) >= _CHUNK_ROWS:
-                    yield "".join(rows)
-                    rows = []
-            continue
-        rows.append(_CSV_ROW % run if not run.event
-                    else _CSV_ROW % (*run[:6], _csv_field(run.event)))
-        if len(rows) >= _CHUNK_ROWS:
-            yield "".join(rows)
-            rows = []
-    yield "".join(rows)
-
-
-def export_telemetry(log: TelemetryLog) -> str:
-    """Render telemetry as CSV; floats carry six decimals, samples a blank event.
-
-    ``log`` is what ``simulate_mission`` returns, or any sequence of
-    TelemetryRecords; anything else raises ValidationError.
-    """
-    return "".join(_csv_chunks(log))
-
-
 def serialize_report(report: MissionReport) -> str:
     """Render a mission report as a stable JSON document."""
+    _require("report", report, MissionReport)
     doc = {
         "completed": report.completed,
         "releases": [

@@ -3,8 +3,10 @@
 Motion is sequential (vertical then horizontal) at piecewise-constant speed
 with instantaneous turns. Energy is payload-linear: every metre of 3D travel
 costs ``consumption_rate`` joules, and hovering during the release dwell is
-free. The battery is one float that the flight spends down. ``compare_strategies``
-flies the NDF and the exhaustive plan of one scenario side by side.
+free. The battery is one float that the flight spends down. The flight's
+telemetry is a ``TelemetryLog``, which ``export_telemetry`` writes as CSV.
+``compare_strategies`` flies the NDF and the exhaustive plan of one scenario
+side by side.
 """
 from __future__ import annotations
 
@@ -14,15 +16,15 @@ from bisect import bisect_right
 from collections import abc
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import TYPE_CHECKING, Collection, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .errors import (BatteryDepleted, InconsistentAssignment, InvalidLevel, NegativePayload,
                      NonFiniteLength, ValidationError)
-from .graph import Path, SkywayNetwork
+from .graph import SkywayNetwork
 from .planner import (PLANNERS, DroneConfig, HangingAssignment, MissionPlan, Package, _judge,
-                      _require, _type_violation, assign_levels, left_to_right_sum,
-                      level_violation, package_faults, plan_total_distance)
-from .rules import as_number, check_fields, positive
+                      assign_levels, left_to_right_sum, level_violation, package_faults,
+                      plan_total_distance)
+from .rules import _require, _type_violation, as_number, check_fields, integer, positive
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -69,6 +71,9 @@ class StringRig:
         return len(self.levels)
 
     def hang(self, level: int) -> float:
+        violation = integer("level", level)
+        if violation is not None:
+            raise ValidationError([violation])
         if not 1 <= level <= len(self.levels):
             raise InvalidLevel(f"level {level} outside 1..{len(self.levels)}")
         return self.levels[level - 1]
@@ -119,6 +124,34 @@ class _Move(NamedTuple):
             yield record(TelemetryRecord, (ts, x0 + dx * f, y0 + dy * f, z0 + dz * f, mass,
                                            battery0 - drain * (ts - t0), ""))
 
+    def rows(self, lo: int, hi: int) -> list[str]:
+        """The CSV rows of the samples at grid points ``lo``..``hi - 1``.
+
+        Each value is the one ``records`` gives. A column whose change over
+        the move is zero holds one value on every row, so it is formatted
+        once into the row template: the payload always, x and y on a
+        vertical move or a hold, z on a cruise, the battery on a hold.
+        """
+        t0, x0, y0, z0, dx, dy, dz, speed, dist, drain, battery0, mass, step, _, _ = self
+        ts = lo * step
+        f = (ts - t0) * speed / dist
+        x, y, z, payload, battery = ("%.6f" % value for value in (
+            x0 + dx * f, y0 + dy * f, z0 + dz * f, mass, battery0 - drain * (ts - t0)))
+        grid = map(step.__rmul__, range(lo, hi))
+        if dx == dy == dz == drain == 0.0:
+            return list(map(f"%.6f,{x},{y},{z},{payload},{battery},\n".__mod__, grid))
+        if dx == dy == 0.0:
+            row = f"%.6f,{x},{y},%.6f,{payload},%.6f,\n"
+            return [row % (ts, z0 + dz * ((ts - t0) * speed / dist),
+                           battery0 - drain * (ts - t0))
+                    for ts in grid]
+        if dz == 0.0:
+            row = f"%.6f,%.6f,%.6f,{z},{payload},%.6f,\n"
+            return [row % (ts, x0 + dx * (f := (ts - t0) * speed / dist), y0 + dy * f,
+                           battery0 - drain * (ts - t0))
+                    for ts in grid]
+        return list(map(_CSV_ROW.__mod__, self.records(lo, hi)))
+
 
 class TelemetryLog(abc.Sequence):
     """A flight's telemetry: a read-only sequence of ``TelemetryRecord``s,
@@ -132,8 +165,15 @@ class TelemetryLog(abc.Sequence):
 
     __slots__ = ("_runs", "_ends")
 
-    def __init__(self, runs: Iterable[TelemetryRecord | _Move]):
+    def __init__(self, runs: Sequence[TelemetryRecord | _Move]):
+        """A log of ``runs``: TelemetryRecords, each a row of its own, and
+        the simulator's moves. Anything else raises ValidationError."""
+        _require("log", runs, abc.Sequence)
         self._runs = runs = tuple(runs)
+        found = [_type_violation(f"log[{i}]", run, TelemetryRecord) for i, run in enumerate(runs)
+                 if type(run) is not _Move and not isinstance(run, TelemetryRecord)]
+        if found:
+            raise ValidationError(found)
         # _ends[r] is the number of rows up to and including run r.
         self._ends = list(accumulate(run.last - run.first + 1 if type(run) is _Move else 1
                                      for run in runs))
@@ -162,6 +202,66 @@ class TelemetryLog(abc.Sequence):
             return run
         k = run.last + 1 - self._ends[r] + i
         return next(run.records(k, k + 1))
+
+
+# The telemetry CSV. A log longer than _ROW_BUDGET rows, about 650 MB of
+# text and 375 times the longest benchmark mission, is refused before the
+# first byte: a slow enough drone gives a log of billions of rows at once.
+_CSV_HEADER = "t,x,y,z,payload_mass,battery_remaining,event\n"
+_CSV_ROW = "%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%s\n"
+_CHUNK_ROWS = 4096  # _csv_chunks yields a piece of text once it holds this many rows
+_ROW_BUDGET = 10**7
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as a CSV field: quoted, with each ``"`` doubled, only when it
+    holds a comma, a quote or a newline. Every other character, ``\\r`` and
+    NUL included, is written as it is, whatever the Python version."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_chunks(log: TelemetryLog) -> Iterator[str]:
+    """The telemetry CSV of ``log``, header first, in pieces of text of
+    fewer than ``2 * _CHUNK_ROWS`` rows each.
+
+    A log of more than ``_ROW_BUDGET`` rows raises ValidationError at this
+    call, before the first piece is asked for.
+    """
+    if len(log) > _ROW_BUDGET:
+        raise ValidationError([f"log: {len(log)} telemetry rows exceed the budget of "
+                               f"{_ROW_BUDGET} rows"])
+    return _csv_pieces(log._runs)
+
+
+def _csv_pieces(runs: tuple[TelemetryRecord | _Move, ...]) -> Iterator[str]:
+    yield _CSV_HEADER
+    rows: list[str] = []
+    for run in runs:
+        if type(run) is _Move:
+            for lo in range(run.first, run.last + 1, _CHUNK_ROWS):
+                rows += run.rows(lo, min(lo + _CHUNK_ROWS, run.last + 1))
+                if len(rows) >= _CHUNK_ROWS:
+                    yield "".join(rows)
+                    rows = []
+            continue
+        rows.append(_CSV_ROW % run if not run.event
+                    else _CSV_ROW % (*run[:6], _csv_field(run.event)))
+        if len(rows) >= _CHUNK_ROWS:
+            yield "".join(rows)
+            rows = []
+    yield "".join(rows)
+
+
+def export_telemetry(log: TelemetryLog | Sequence[TelemetryRecord]) -> str:
+    """Render telemetry as CSV; floats carry six decimals, samples a blank event.
+
+    ``log`` is what ``simulate_mission`` returns, or any sequence of
+    TelemetryRecords, which is read as a TelemetryLog of them; anything else
+    raises ValidationError, as does a log of more than ``_ROW_BUDGET`` rows.
+    """
+    return "".join(_csv_chunks(log if isinstance(log, TelemetryLog) else TelemetryLog(log)))
 
 
 def consumption_rate(drone: DroneConfig, payload_mass: float) -> float:
@@ -211,20 +311,6 @@ class MissionReport:
     energy: EnergyBreakdown
     end_position: tuple[float, float, float]
     abort_reason: str | None = None
-
-
-def cruise_altitude(network: SkywayNetwork, leg_path: Path, rig: StringRig,
-                    loaded_levels: Collection[int]) -> float:
-    """Altitude that keeps the lowest hanging package clear of every rooftop
-    under the leg, plus the rig's safety clearance."""
-    highest = max(network.node(nid).rooftop_height for nid in leg_path.nodes)
-    hang = rig.hang(min(loaded_levels)) if loaded_levels else 0.0
-    return highest + hang + rig.clearance
-
-
-def release_altitude(node, rig: StringRig, level: int) -> float:
-    """Altitude at which the package hanging at ``level`` touches the rooftop."""
-    return node.rooftop_height + rig.hang(level)
 
 
 def _grid_count(t: float, step: float, before) -> int:
@@ -411,19 +497,20 @@ def simulate_mission(network: SkywayNetwork, plan: MissionPlan,
         try:
             if leg.release is None and order:
                 flight.emit("RETURN_LEG")
-            # The i-th release hangs at level i, so the loaded levels are the
-            # ones above the releases made so far.
-            altitude = cruise_altitude(network, leg.path, rig,
-                                       range(len(releases) + 1, len(order) + 1))
+            stops = [network.node(node_id) for node_id in leg.path.nodes]
+            # The cruise keeps the lowest loaded package clear of every rooftop
+            # under the leg. The i-th release hangs at level i, so the lowest
+            # loaded level is the one after the releases made so far.
+            hang = rig.hang(len(releases) + 1) if len(releases) < len(order) else 0.0
+            altitude = max(stop.rooftop_height for stop in stops) + hang + rig.clearance
             dz = altitude - flight.z
             if dz != 0.0:
                 flight.emit("ASCEND" if dz > 0 else "DESCEND")
                 flight.travel(flight.x, flight.y, altitude, drone.vertical_speed)
-            for next_id in leg.path.nodes[1:]:
-                target = network.node(next_id)
+            for target in stops[1:]:
                 flight.emit("CRUISE")
                 flight.travel(target.x, target.y, altitude, drone.cruise_speed)
-            end_node = network.node(leg.path.nodes[-1])
+            end_node = stops[-1]
             flight.emit("ARRIVE")
             flight.emit("DESCEND")
             if leg.release is None:
@@ -432,7 +519,8 @@ def simulate_mission(network: SkywayNetwork, plan: MissionPlan,
                 flight.emit("LAND")
             else:
                 level = len(releases) + 1
-                flight.travel(flight.x, flight.y, release_altitude(end_node, rig, level),
+                # Down until the package at ``level`` touches the rooftop.
+                flight.travel(flight.x, flight.y, end_node.rooftop_height + rig.hang(level),
                               drone.vertical_speed)
                 flight.hold(dwell)
                 flight.payload_mass = payload_after[level]
@@ -479,8 +567,11 @@ def compare_strategies(scenario: Scenario) -> CompareResult:
     """Plan and fly both strategies, then relate their total distances.
 
     The flights are for their reports only, so they record no telemetry
-    samples.
+    samples. A ``scenario`` that is not a Scenario raises ValidationError.
     """
+    from .scenario import Scenario  # scenario.py imports this module
+
+    _require("scenario", scenario, Scenario)
     outcomes = []
     for planner in PLANNERS.values():
         plan = planner(scenario.network, scenario.source, scenario.packages,

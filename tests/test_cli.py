@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import time
 
 import pytest
 
@@ -129,6 +130,28 @@ def test_run_aborted_mission_exits_one(capsys, scenario_dir, tmp_path):
     code, out, _ = run_cli(capsys, "run", path)
     assert code == 1
     assert "completed: no (battery depleted on leg 1)" in out
+
+
+def test_telemetry_over_the_row_budget_exits_two_before_any_file_opens(capsys, scenario_dir,
+                                                                      tmp_path):
+    # At 1e-6 m/s the n1 cruises take billions of 0.1 s steps.
+    scenario = parse_scenario((scenario_dir / "n1.json").read_text())
+    slow = dataclasses.replace(
+        scenario, drone=dataclasses.replace(scenario.drone, cruise_speed=1e-6))
+    path = scenario_file(tmp_path, slow)
+    fresh, kept, report = (tmp_path / name for name in ("fresh.csv", "kept.csv", "report.json"))
+    kept.write_bytes(b"earlier bytes\n")
+    for telemetry in (fresh, kept):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "run", path, "--telemetry", str(telemetry),
+                                 "--report", str(report))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (
+            2, "", "error: log: 3306226141 telemetry rows exceed the budget of 10000000 rows\n")
+    assert not fresh.exists() and not report.exists()
+    assert kept.read_bytes() == b"earlier bytes\n"
+    code, out, _ = run_cli(capsys, "run", path)
+    assert code == 0 and "completed: yes" in out
 
 
 def test_an_overflowing_move_aborts_partway_along_it(capsys, tmp_path):

@@ -12,7 +12,6 @@ from skyway_delivery import (
     StringRig,
     assign_levels,
     consumption_rate,
-    cruise_altitude,
     generate_scenario,
     plan_ndf,
     simulate_mission,
@@ -34,8 +33,11 @@ def fly_n1(battery_capacity, telemetry_step=0.1):
 def n1_first_ascent():
     """The n1 mission's first move: (climb in metres, joules it costs)."""
     network = helpers.build_n1()
-    plan = plan_ndf(network, "S", helpers.N1_PACKAGES)
-    altitude = cruise_altitude(network, plan.legs[0].path, StringRig(), range(1, 4))
+    path = plan_ndf(network, "S", helpers.N1_PACKAGES).legs[0].path
+    # Level 1 hangs lowest; it clears the leg's tallest rooftop by the clearance.
+    rig = StringRig()
+    altitude = (max(network.node(node_id).rooftop_height for node_id in path.nodes)
+                + rig.hang(1) + rig.clearance)
     dz = altitude - network.node("S").rooftop_height
     return dz, consumption_rate(DroneConfig(), 6.0) * dz
 

@@ -1,22 +1,167 @@
-"""The public surface: every exported name resolves, and README's library
-example runs as written."""
+"""The public surface: every exported name resolves, README's library and
+command-line examples run as written, and every public call judges its
+arguments."""
 from __future__ import annotations
 
+import dataclasses
+import functools
+import math
 import re
+import shlex
+import shutil
 from pathlib import Path
 
-import skyway_delivery
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import helpers
+import skyway_delivery as sd
+from skyway_delivery.errors import SkywayError
 
 ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def test_exports_resolve_and_readme_library_example_runs(monkeypatch, capsys):
-    missing = [name for name in skyway_delivery.__all__
-               if not hasattr(skyway_delivery, name)]
+    missing = [name for name in sd.__all__ if not hasattr(sd, name)]
     assert missing == []
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## Library use\n", 1)[1]
+    section = README.split("\n## Library use\n", 1)[1]
     example = re.search(r"^```python\n(.*?)^```$", section, re.S | re.M).group(1)
     monkeypatch.chdir(ROOT)
     exec(compile(example, "README.md", "exec"), {})
     assert capsys.readouterr().out == "True 1645.735464897913\n"
+
+
+_COMMAND_LINE = README.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+_SESSIONS = re.findall(r"^```sh\n\$ skyway-delivery (.*?)\n(.*?)^```$", _COMMAND_LINE,
+                       re.S | re.M)
+
+
+@pytest.mark.parametrize("command, output", _SESSIONS, ids=[c.split()[0] for c, _ in _SESSIONS])
+def test_readme_command_line_examples_print_as_written(command, output, tmp_path,
+                                                       monkeypatch, capsys):
+    shutil.copytree(ROOT / "scenarios", tmp_path / "scenarios")
+    monkeypatch.chdir(tmp_path)
+    assert sd.cli_main(shlex.split(command)) == 0
+    assert capsys.readouterr().out == output
+
+
+def test_readme_shows_every_subcommand():
+    assert sorted(command.split()[0] for command, _ in _SESSIONS) == [
+        "compare", "gen", "plan", "run"]
+
+
+@functools.cache
+def _valid_calls() -> dict[str, tuple[object, tuple, dict]]:
+    """Each public callable, and two methods, with arguments that make a
+    valid call on the n1 scenario: name -> (callable, args, kwargs)."""
+    path = ROOT / "scenarios" / "n1.json"
+    text = path.read_text(encoding="utf-8")
+    scenario = sd.parse_scenario(text)
+    network, source, packages = scenario.network, scenario.source, scenario.packages
+    drone, rig = scenario.drone, scenario.rig
+    planned = {"drone": drone, "level_count": rig.level_count}
+    plan = sd.plan_ndf(network, source, packages, **planned)
+    log, report = sd.simulate_mission(network, plan, sd.assign_levels(plan), drone, rig,
+                                      packages)
+    result = sd.compare_strategies(scenario)
+    calls = {
+        "assign_levels": (plan,),
+        "build_network": (helpers.N1_NODE_SPECS, helpers.N1_SEGMENT_SPECS),
+        "check_feasibility": (drone, packages, rig.level_count),
+        "cli_main": (["plan", str(path)],),
+        "compare_strategies": (scenario,),
+        "consumption_rate": (drone, 2.0),
+        "export_telemetry": (log,),
+        "generate_scenario": (5, 2, 7, (100.0, 100.0)),
+        "optimal_order": ([[0.0, 1.0], [2.0, 0.0]],),
+        "parse_scenario": (text,),
+        "plan_ndf": (network, source, packages),
+        "plan_optimal": (network, source, packages),
+        "plan_total_distance": (plan,),
+        "serialize_report": (report,),
+        "serialize_scenario": (scenario,),
+        "shortest_path": (network, "S", "C"),
+        "shortest_paths_from": (network, "S", ["A", "C"]),
+        "simulate_mission": (network, plan, sd.assign_levels(plan), drone, rig, packages),
+        "stop_matrix": (network, ["S", "A", "C"]),
+        "TelemetryLog": ([log[0], log[1]],),
+    }
+    # A class is called with the fields of one of its instances.
+    for instance in (result, result.ndf, drone, report.energy, report.energy.legs[0],
+                     sd.check_feasibility(drone, packages), sd.assign_levels(plan),
+                     plan.legs[0], plan.legs[0].path, plan, report, network.node("S"),
+                     packages[0], scenario, network.segments[0], network, rig, log[0]):
+        calls[type(instance).__name__] = (
+            tuple(instance) if isinstance(instance, tuple)
+            else tuple(getattr(instance, f.name) for f in dataclasses.fields(instance)))
+    keywords = {"plan_ndf": planned, "plan_optimal": planned,
+                "simulate_mission": {"release_dwell": 2.0, "telemetry_step": 0.5}}
+    table = {name: (getattr(sd, name), args, keywords.get(name, {}))
+             for name, args in calls.items()}
+    table["StringRig.hang"] = (rig.hang, (1,), {})
+    table["SkywayNetwork.node"] = (network.node, ("S",), {})
+    return table
+
+
+_PUBLIC_CALLABLES = sorted(name for name in sd.__all__
+                           if callable(getattr(sd, name)) and name != "errors")
+# Values of a wrong type, and non-finite ones, for any argument.
+_WRONG = [None, 5, "x", [1], ["S"], math.nan, math.inf, True, {"a": 1}]
+
+
+def test_every_public_callable_has_a_valid_call():
+    assert sorted(_valid_calls()) == sorted(
+        [*_PUBLIC_CALLABLES, "StringRig.hang", "SkywayNetwork.node"])
+
+
+@settings(max_examples=60)
+@pytest.mark.parametrize("name", [*_PUBLIC_CALLABLES, "StringRig.hang", "SkywayNetwork.node"])
+@given(data=st.data())
+def test_a_wrong_argument_raises_a_package_error_or_returns(name, data):
+    """One argument of a valid call on n1 replaced by a wrong value: the call
+    raises SkywayError or ValueError, or returns."""
+    function, args, kwargs = _valid_calls()[name]
+    slot = data.draw(st.sampled_from([*range(len(args)), *kwargs]), label="slot")
+    value = data.draw(st.sampled_from(_WRONG), label="value")
+    args, kwargs = list(args), dict(kwargs)
+    if isinstance(slot, int):
+        args[slot] = value
+    else:
+        kwargs[slot] = value
+    try:
+        function(*args, **kwargs)
+    except (SkywayError, ValueError):
+        pass
+
+
+_N1 = helpers.build_n1()
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda: sd.shortest_path(_N1, ["S"], "A"), "unknown node ['S']"),
+    (lambda: sd.shortest_paths_from(5, "S"), "network: expected a SkywayNetwork, got int"),
+    (lambda: sd.shortest_paths_from(_N1, "S", 5), "targets: expected an Iterable, got int"),
+    (lambda: sd.shortest_paths_from(_N1, "S", [{"a": 1}]), "unknown node {'a': 1}"),
+    (lambda: sd.stop_matrix(_N1, 5), "stops: expected an Iterable, got int"),
+    (lambda: sd.build_network(None, []), "node_specs: expected an Iterable, got NoneType"),
+    (lambda: sd.build_network([], math.nan), "segment_specs: expected an Iterable, got float"),
+    (lambda: sd.optimal_order(5), "dist: expected a Sequence, got int"),
+    (lambda: sd.optimal_order([1]), "dist[0]: expected a Sequence, got int"),
+    (lambda: sd.plan_ndf("x", "S", helpers.N1_PACKAGES),
+     "network: expected a SkywayNetwork, got str"),
+    (lambda: sd.plan_optimal(_N1, ["S"], helpers.N1_PACKAGES), "unknown node ['S']"),
+    (lambda: sd.StringRig().hang("1"), "level: expected an int, got str"),
+    (lambda: sd.StringRig().hang(2.0), "level: expected an int, got float"),
+    (lambda: sd.serialize_report(5), "report: expected a MissionReport, got int"),
+    (lambda: sd.serialize_scenario(5), "scenario: expected a Scenario, got int"),
+    (lambda: sd.compare_strategies(None), "scenario: expected a Scenario, got NoneType"),
+    (lambda: sd.cli_main(5), "argv: expected a list, got int"),
+    (lambda: sd.cli_main(["plan", 1]), "argv[1]: expected a str, got int"),
+    (lambda: sd.TelemetryLog(5), "log: expected a Sequence, got int"),
+])
+def test_a_call_names_its_argument_of_the_wrong_type(call, text):
+    with pytest.raises(SkywayError) as excinfo:
+        call()
+    assert str(excinfo.value) == text

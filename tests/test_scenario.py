@@ -18,6 +18,7 @@ from skyway_delivery import (
     Package,
     Scenario,
     StringRig,
+    TelemetryLog,
     TelemetryRecord,
     build_network,
     export_telemetry,
@@ -401,14 +402,29 @@ def test_export_telemetry_empty_log():
     assert export_telemetry([]) == "t,x,y,z,payload_mass,battery_remaining,event\n"
 
 
-@pytest.mark.parametrize("log, violations", [
+_LOG_FAULTS = pytest.mark.parametrize("log, violations", [
     ([1], ["log[0]: expected a TelemetryRecord, got int"]),
     (None, ["log: expected a Sequence, got NoneType"]),
     (5, ["log: expected a Sequence, got int"]),
+    ({"a": 1}, ["log: expected a Sequence, got dict"]),
+    ([TelemetryRecord(0, 0, 0, 0, 0, 0), "x", None],
+     ["log[1]: expected a TelemetryRecord, got str",
+      "log[2]: expected a TelemetryRecord, got NoneType"]),
 ])
+
+
+@_LOG_FAULTS
 def test_export_telemetry_judges_its_argument(log, violations):
     with pytest.raises(ValidationError) as excinfo:
         export_telemetry(log)
+    assert list(excinfo.value.violations) == violations
+
+
+@_LOG_FAULTS
+def test_a_telemetry_log_judges_its_runs(log, violations):
+    """The export reads a plain sequence as a log, so both report the same."""
+    with pytest.raises(ValidationError) as excinfo:
+        TelemetryLog(log)
     assert list(excinfo.value.violations) == violations
 
 

@@ -28,16 +28,15 @@ from skyway_delivery import (
     TelemetryLog,
     assign_levels,
     build_network,
-    cruise_altitude,
     export_telemetry,
     generate_scenario,
     plan_ndf,
-    shortest_path,
     simulate_mission,
 )
 from skyway_delivery.errors import (BatteryDepleted, InconsistentAssignment, InvalidLevel,
                                     InvalidPackage, ValidationError)
-from skyway_delivery.simulator import _BOUNDARY_EPS, _Flight, _grid_count, release_altitude
+from skyway_delivery import simulator
+from skyway_delivery.simulator import _BOUNDARY_EPS, _Flight, _grid_count
 
 
 def events_of(log):
@@ -79,32 +78,47 @@ def test_string_rig_hang():
         rig.hang(4)
 
 
-def test_cruise_altitude_clears_lowest_package(n1_network):
-    rig = StringRig()
-    path = shortest_path(n1_network, "S", "A")
-    assert cruise_altitude(n1_network, path, rig, {1, 2, 3}) == pytest.approx(14.0)
-    assert cruise_altitude(n1_network, path, rig, {2, 3}) == pytest.approx(13.0)
-
-
-def test_cruise_altitude_unloaded_uses_clearance_only(n1_network):
-    rig = StringRig()
-    path = shortest_path(n1_network, "C", "S")
-    assert cruise_altitude(n1_network, path, rig, set()) == pytest.approx(21.0)
-
-
-def test_cruise_altitude_identity_path():
-    network = build_network([("top", 0.0, 0.0, 13.5)], [])
-    path = shortest_path(network, "top", "top")
-    altitude = cruise_altitude(network, path, StringRig(), {1})
-    assert altitude == pytest.approx(17.5)
-
-
-def test_release_altitude(n1_network):
-    rig = StringRig()
-    assert release_altitude(n1_network.node("A"), rig, 1) == pytest.approx(13.0)
-    assert release_altitude(n1_network.node("C"), rig, 3) == pytest.approx(21.0)
-    with pytest.raises(InvalidLevel):
-        release_altitude(n1_network.node("A"), rig, 4)
+@pytest.mark.parametrize("packages, rig, cruise, release", [
+    (helpers.N1_PACKAGES, StringRig(), [14.0, 13.0, 22.0, 21.0], [13.0, 7.0, 21.0]),
+    # p4 also goes to A, so the second leg's path is A alone: no cruise, an
+    # arrival at the leg's altitude.
+    (helpers.N1_PACKAGES + (Package("p4", 1.0, "A"),),
+     StringRig((3.5, 2.5, 1.5, 0.5), 1.5), [15.0, 14.0, 13.0, 22.0, 21.5],
+     [13.5, 12.5, 6.5, 20.5]),
+], ids=["n1", "two-drops-on-A"])
+def test_cruise_and_release_altitudes_along_the_n1_flight(packages, rig, cruise, release):
+    """Each leg cruises at its tallest rooftop plus the hang of the lowest
+    loaded level plus the clearance, and each package is released at its
+    rooftop plus the hang of its level."""
+    network = helpers.build_n1()
+    plan = plan_ndf(network, "S", packages)
+    log, report = simulate_mission(network, plan, assign_levels(plan), DroneConfig(), rig,
+                                   packages)
+    assert report.completed
+    legs: list[list] = [[]]  # the rows of each leg, up to its release or landing
+    for record in log[1:]:  # after TAKEOFF
+        legs[-1].append(record)
+        if record.event.startswith("RELEASE(") or record.event == "LAND":
+            legs.append([])
+    assert legs.pop() == [] and len(legs) == len(plan.legs)
+    order = plan.release_order
+    cruised, released = [], []
+    for i, (leg, rows) in enumerate(zip(plan.legs, legs)):
+        rooftops = [network.node(node_id).rooftop_height for node_id in leg.path.nodes]
+        hang = rig.hang(i + 1) if i < len(order) else 0.0
+        altitude = max(rooftops) + hang + rig.clearance
+        events = [record.event for record in rows]
+        arrive = events.index("ARRIVE")
+        start = events.index("CRUISE") if "CRUISE" in events else arrive
+        assert start < arrive or len(leg.path.nodes) == 1
+        # Every row from the first CRUISE through ARRIVE, samples included.
+        assert {record.z for record in rows[start:arrive + 1]} == {altitude}
+        cruised.append(altitude)
+        if leg.release is not None:
+            assert rows[-1].event == f"RELEASE({leg.release})"
+            assert rows[-1].z == rooftops[-1] + rig.hang(i + 1)
+            released.append(rows[-1].z)
+    assert (cruised, released) == (cruise, release)
 
 
 def test_n1_mission_event_sequence():
@@ -401,6 +415,26 @@ def test_a_long_dwell_keeps_the_flight_small():
     assert peak < 1 << 20
     # The export runs over many pieces of text; csv.writer agrees with it.
     assert export_telemetry(log) == helpers.csv_writer_export(log)
+
+
+def test_the_export_refuses_a_log_over_the_row_budget(monkeypatch):
+    network = helpers.build_n1()
+    plan = plan_ndf(network, "S", helpers.N1_PACKAGES)
+    log, report = simulate_mission(network, plan, assign_levels(plan),
+                                   DroneConfig(cruise_speed=1e-6), StringRig(),
+                                   helpers.N1_PACKAGES)
+    assert report.completed and len(log) == 3_306_226_141
+    with pytest.raises(ValidationError) as excinfo:
+        export_telemetry(log)
+    assert excinfo.value.violations == (
+        "log: 3306226141 telemetry rows exceed the budget of 10000000 rows",)
+    # A log of exactly the budget is written.
+    log, _ = fly_n1()
+    monkeypatch.setattr(simulator, "_ROW_BUDGET", len(log))
+    assert export_telemetry(log) == helpers.csv_writer_export(log)
+    monkeypatch.setattr(simulator, "_ROW_BUDGET", len(log) - 1)
+    with pytest.raises(ValidationError, match=f"log: {len(log)} telemetry rows exceed"):
+        export_telemetry(log)
 
 
 def test_release_dwell_samples_hold_position_payload_and_battery():
