@@ -78,6 +78,60 @@ def test_string_rig_hang():
         rig.hang(4)
 
 
+def rows_of_each_leg(log):
+    """The rows after TAKEOFF, split into legs: each ends at its release or landing."""
+    legs: list[list] = [[]]
+    for record in log[1:]:
+        legs[-1].append(record)
+        if record.event.startswith("RELEASE(") or record.event == "LAND":
+            legs.append([])
+    assert legs.pop() == []
+    return legs
+
+
+def cruise_heights(rows):
+    """The heights of a leg's rows from its first CRUISE through its ARRIVE."""
+    events = [record.event for record in rows]
+    return {record.z for record in rows[events.index("CRUISE"):events.index("ARRIVE") + 1]}
+
+
+def test_cruise_altitude_clears_lowest_package():
+    """Loaded legs cruise at the tallest rooftop under them plus the hang of the
+    lowest loaded level plus the clearance: level 1 (3 m) on S->A, level 2 (2 m)
+    on A->B once p1 is released."""
+    log, report = fly_n1()
+    assert report.completed
+    first, second = rows_of_each_leg(log)[:2]
+    assert cruise_heights(first) == {14.0}
+    assert cruise_heights(second) == {13.0}
+
+
+def test_cruise_altitude_unloaded_uses_clearance_only():
+    """The empty return leg C->B->S cruises at C's 20 m rooftop plus the 1 m
+    clearance, with no hang."""
+    log, report = fly_n1()
+    assert report.completed
+    home = rows_of_each_leg(log)[-1]
+    assert home[-1].event == "LAND"
+    assert cruise_heights(home) == {21.0}
+
+
+def test_release_altitude():
+    """Each package is released at its rooftop plus the hang of its level, and a
+    rig with fewer levels than packages raises InvalidLevel."""
+    log, report = fly_n1()
+    assert report.completed
+    released = {record.event: record.z for record in log if record.event.startswith("RELEASE(")}
+    assert released["RELEASE(p1)"] == pytest.approx(13.0)  # A at 10 m, level 1 hangs 3 m
+    assert released["RELEASE(p3)"] == pytest.approx(21.0)  # C at 20 m, level 3 hangs 1 m
+    network = helpers.build_n1()
+    packages = list(helpers.N1_PACKAGES)
+    plan = plan_ndf(network, "S", packages)
+    with pytest.raises(InvalidLevel):
+        simulate_mission(network, plan, assign_levels(plan), DroneConfig(),
+                         StringRig(levels=(3.0, 2.0)), packages)
+
+
 @pytest.mark.parametrize("packages, rig, cruise, release", [
     (helpers.N1_PACKAGES, StringRig(), [14.0, 13.0, 22.0, 21.0], [13.0, 7.0, 21.0]),
     # p4 also goes to A, so the second leg's path is A alone: no cruise, an
@@ -95,12 +149,8 @@ def test_cruise_and_release_altitudes_along_the_n1_flight(packages, rig, cruise,
     log, report = simulate_mission(network, plan, assign_levels(plan), DroneConfig(), rig,
                                    packages)
     assert report.completed
-    legs: list[list] = [[]]  # the rows of each leg, up to its release or landing
-    for record in log[1:]:  # after TAKEOFF
-        legs[-1].append(record)
-        if record.event.startswith("RELEASE(") or record.event == "LAND":
-            legs.append([])
-    assert legs.pop() == [] and len(legs) == len(plan.legs)
+    legs = rows_of_each_leg(log)
+    assert len(legs) == len(plan.legs)
     order = plan.release_order
     cruised, released = [], []
     for i, (leg, rows) in enumerate(zip(plan.legs, legs)):
