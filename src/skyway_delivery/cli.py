@@ -22,15 +22,7 @@ from .scenario import (
     serialize_report,
     serialize_scenario,
 )
-# The compare types stay importable from here as well as from the package.
-from .simulator import (  # noqa: F401
-    DEFAULT_TELEMETRY_STEP,
-    CompareResult,
-    StrategyOutcome,
-    _csv_chunks,
-    compare_strategies,
-    simulate_mission,
-)
+from .simulator import DEFAULT_TELEMETRY_STEP, _csv_chunks, compare_strategies, simulate_mission
 
 
 def _plan(scenario: Scenario, strategy: str) -> MissionPlan:

@@ -417,11 +417,11 @@ def plan_total_distance(plan: MissionPlan) -> float:
 
 
 def left_to_right_sum(values: Iterable[float]) -> float:
-    """Add ``values`` one at a time, starting from 0.
+    """Add ``values`` one at a time, starting from 0.0.
 
     The built-in sum() does the same before Python 3.12, but from 3.12 on it
     compensates for rounding. That changes the last bits of some totals, and
     so the bytes of plans and reports, and it would break the exhaustive
     planner's rule that a mission's total is its legs added in flying order.
     """
-    return functools.reduce(operator.add, values, 0)
+    return functools.reduce(operator.add, values, 0.0)

@@ -56,10 +56,17 @@ def integer(name, value):
     return f"{name}: expected an int, got {type(value).__name__}"
 
 
+def numeric(name, value):
+    """The number rule: an int or a float, never a bool. The caller judges its range."""
+    if as_number(value) is not None:
+        return None
+    return f"{name}: expected a number, got {type(value).__name__}"
+
+
 def finite(name, value):
     number = value if type(value) is float else as_number(value)
     if number is None:
-        return f"{name}: expected a number, got {type(value).__name__}"
+        return numeric(name, value)
     return None if math.isfinite(number) else f"{name}: must be finite"
 
 

@@ -16,9 +16,10 @@ from json.encoder import encode_basestring_ascii as _json_string
 
 from .errors import InvalidParams, ScenarioSyntaxError, SkywayError, ValidationError
 from .graph import Node, SkywayNetwork, _assemble, build_network, node_faults, segment_faults
-from .planner import DroneConfig, Package, level_violation, package_faults
-from .rules import _require, as_number, field_violations, integer, non_empty
-from .simulator import MissionReport, StringRig
+from .planner import DroneConfig, Package, _judge, level_violation, package_faults
+from .rules import (_require, _type_violation, as_number, field_violations, integer, non_empty,
+                    numeric)
+from .simulator import EnergyBreakdown, LegEnergy, MissionReport, StringRig
 
 _TOP_KEYS = {"label", "source", "nodes", "segments", "drone", "rig", "packages"}
 _SEGMENT_KEYS = {"a", "b"}
@@ -27,12 +28,25 @@ _segment_pair = itemgetter("a", "b")
 
 @dataclass(frozen=True)
 class Scenario:
+    """One mission's inputs. A field of the wrong type raises
+    ValidationError, also through ``dataclasses.replace``."""
+
     network: SkywayNetwork
     source: str
     drone: DroneConfig
     rig: StringRig
     packages: tuple[Package, ...]
     label: str | None = None
+
+    def __post_init__(self):
+        found = [_type_violation(name, getattr(self, name), kind)
+                 for name, kind in (("network", SkywayNetwork), ("source", str),
+                                    ("rig", StringRig))]
+        if self.label is not None:
+            found.append(_type_violation("label", self.label, str))
+        if self.drone is None:  # a plan may leave out the drone, a scenario may not
+            found.append(_type_violation("drone", self.drone, DroneConfig))
+        _judge(self.drone, self.packages, None, found)
 
 
 # Each constructor argument's name and default. The type and value rules
@@ -357,9 +371,57 @@ def generate_scenario(node_count: int, package_count: int, seed: int,
                     rig=rig, packages=packages, label=label)
 
 
+def _text(name, value):
+    return _type_violation(name, value, str)
+
+
+def _row_faults(name: str, row, rules) -> list[str | None]:
+    """The violations of ``row``, a list or tuple of one value per rule."""
+    if not isinstance(row, (list, tuple)):
+        return [_type_violation(name, row, tuple)]
+    if len(row) != len(rules):
+        return [f"{name}: expected {len(rules)} values, got {len(row)}"]
+    return [rule(f"{name}[{i}]", value) for i, (rule, value) in enumerate(zip(rules, row))]
+
+
+def _report_faults(report: MissionReport) -> list[str]:
+    """The violations among the fields that ``serialize_report`` writes,
+    each behind a locator such as ``report.energy.legs[0].rate``."""
+    found = [_type_violation("report.completed", report.completed, bool)]
+    if isinstance(report.releases, (list, tuple)):
+        for i, release in enumerate(report.releases):
+            found += _row_faults(f"report.releases[{i}]", release, (_text, _text, numeric))
+    else:
+        found.append(_type_violation("report.releases", report.releases, tuple))
+    found.append(numeric("report.total_distance_3d", report.total_distance_3d))
+    energy = report.energy
+    if not isinstance(energy, EnergyBreakdown):
+        found.append(_type_violation("report.energy", energy, EnergyBreakdown))
+    elif not isinstance(energy.legs, (list, tuple)):
+        found.append(_type_violation("report.energy.legs", energy.legs, tuple))
+    else:
+        for i, leg in enumerate(energy.legs):
+            found += ([numeric(f"report.energy.legs[{i}].{field}", getattr(leg, field))
+                       for field in ("distance_3d", "payload_mass", "rate", "energy")]
+                      if isinstance(leg, LegEnergy)
+                      else [_type_violation(f"report.energy.legs[{i}]", leg, LegEnergy)])
+        found.append(numeric("report.energy.total", energy.total))
+    found += _row_faults("report.end_position", report.end_position, (numeric,) * 3)
+    if report.abort_reason is not None:
+        found.append(_text("report.abort_reason", report.abort_reason))
+    return list(filter(None, found))
+
+
 def serialize_report(report: MissionReport) -> str:
-    """Render a mission report as a stable JSON document."""
+    """Render a mission report as a stable JSON document.
+
+    A ``report`` that is not a MissionReport, or whose fields do not have
+    the types ``simulate_mission`` gives them, raises ValidationError.
+    """
     _require("report", report, MissionReport)
+    found = _report_faults(report)
+    if found:
+        raise ValidationError(found)
     doc = {
         "completed": report.completed,
         "releases": [

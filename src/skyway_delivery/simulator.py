@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from bisect import bisect_right
 from collections import abc
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from .graph import SkywayNetwork
 from .planner import (PLANNERS, DroneConfig, HangingAssignment, MissionPlan, Package, _judge,
                       assign_levels, left_to_right_sum, level_violation, package_faults,
                       plan_total_distance)
-from .rules import _require, _type_violation, as_number, check_fields, integer, positive
+from .rules import _require, _type_violation, as_number, check_fields, finite, integer, positive
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -94,9 +95,28 @@ class TelemetryRecord(NamedTuple):
     event: str = ""
 
 
+_PLAIN_RECORD = (float,) * 6 + (str,)
+
+
+def _record_faults(name: str, record) -> list[str]:
+    """The violations of ``record`` as a telemetry row: not a
+    TelemetryRecord, one of its six values not a number or an int too large
+    for a float, its event not a str. A float is written as it is, nan and
+    inf too, and a bool as the number it equals, as ``csv.writer`` does."""
+    if not isinstance(record, TelemetryRecord):
+        return [_type_violation(name, record, TelemetryRecord)]
+    found = [None if type(value) is float or isinstance(value, bool)
+             else finite(f"{name}.{field}", value)
+             for field, value in zip(TelemetryRecord._fields[:6], record)]
+    found.append(_type_violation(f"{name}.event", record.event, str))
+    return list(filter(None, found))
+
+
 class _Move(NamedTuple):
-    """The samples of one move: grid points ``first``..``last`` of the step
-    grid, each made from these constants as the sampling loop makes it."""
+    """One move and its samples: grid points ``first``..``last`` of the step
+    grid, none when ``first > last``, each made from these constants as the
+    sampling loop makes it. ``flown`` is the metres the drone covered: 0.0
+    on a hold, less than ``dist`` on an aborted travel."""
 
     t0: float
     x0: float
@@ -113,10 +133,11 @@ class _Move(NamedTuple):
     step: float
     first: int
     last: int
+    flown: float
 
     def records(self, lo: int, hi: int) -> Iterator[TelemetryRecord]:
         """The samples at grid points ``lo``..``hi - 1``."""
-        t0, x0, y0, z0, dx, dy, dz, speed, dist, drain, battery0, mass, step, _, _ = self
+        t0, x0, y0, z0, dx, dy, dz, speed, dist, drain, battery0, mass, step, *_ = self
         record = tuple.__new__  # skips TelemetryRecord's Python-level __new__
         for k in range(lo, hi):
             ts = k * step
@@ -132,7 +153,7 @@ class _Move(NamedTuple):
         once into the row template: the payload always, x and y on a
         vertical move or a hold, z on a cruise, the battery on a hold.
         """
-        t0, x0, y0, z0, dx, dy, dz, speed, dist, drain, battery0, mass, step, _, _ = self
+        t0, x0, y0, z0, dx, dy, dz, speed, dist, drain, battery0, mass, step, *_ = self
         ts = lo * step
         f = (ts - t0) * speed / dist
         x, y, z, payload, battery = ("%.6f" % value for value in (
@@ -167,16 +188,20 @@ class TelemetryLog(abc.Sequence):
 
     def __init__(self, runs: Sequence[TelemetryRecord | _Move]):
         """A log of ``runs``: TelemetryRecords, each a row of its own, and
-        the simulator's moves. Anything else raises ValidationError."""
+        the simulator's moves. Anything else, or a record with a value that
+        is not a number or an event that is not a str, raises ValidationError."""
         _require("log", runs, abc.Sequence)
         self._runs = runs = tuple(runs)
-        found = [_type_violation(f"log[{i}]", run, TelemetryRecord) for i, run in enumerate(runs)
-                 if type(run) is not _Move and not isinstance(run, TelemetryRecord)]
+        # A record the simulator makes holds six floats and a str; only the
+        # other runs are looked into.
+        found = [fault for i, run in enumerate(runs) if type(run) is not _Move and (
+                     type(run) is not TelemetryRecord or tuple(map(type, run)) != _PLAIN_RECORD)
+                 for fault in _record_faults(f"log[{i}]", run)]
         if found:
             raise ValidationError(found)
         # _ends[r] is the number of rows up to and including run r.
-        self._ends = list(accumulate(run.last - run.first + 1 if type(run) is _Move else 1
-                                     for run in runs))
+        self._ends = list(accumulate(max(0, run.last - run.first + 1) if type(run) is _Move
+                                     else 1 for run in runs))
 
     def __len__(self) -> int:
         return self._ends[-1] if self._ends else 0
@@ -325,7 +350,7 @@ def _grid_count(t: float, step: float, before) -> int:
     estimate = t / step
     if not estimate < 2**53:
         raise NonFiniteLength(f"{t} s hold 2**53 or more telemetry steps of {step} s")
-    k = max(0, int(estimate))
+    k = int(max(0.0, estimate))  # a time before 0 over a subnormal step is -inf steps
     while k > 0 and not before(k * step, t):
         k -= 1
     while before((k + 1) * step, t):
@@ -346,8 +371,6 @@ class _Flight:
         self.payload_mass = payload_mass
         self.step = telemetry_step
         self.records: list[TelemetryRecord | _Move] = []
-        self.total_distance = 0.0
-        self.leg_distance = 0.0
         self._samples = 0
 
     def emit(self, event: str) -> None:
@@ -372,32 +395,33 @@ class _Flight:
             # rate * dist overflows for a finite move longer than about 1e307 m.
             fraction = (self.battery / energy if energy < math.inf
                         else self.battery / self.rate / dist)
-            self._advance(x, y, z, dist, speed, self.rate, fraction)
+            flown = dist * fraction
+            if min(fraction, flown) < sys.float_info.min:
+                # A subnormal float has too few bits to price the part flown
+                # (rate * flown could pass the charge): the drone stays put.
+                fraction = flown = 0.0
+            self._advance(x, y, z, dist, speed, self.rate, fraction, flown)
             self.x += (x - self.x) * fraction
             self.y += (y - self.y) * fraction
             self.z += (z - self.z) * fraction
-            self.total_distance += dist * fraction
-            self.leg_distance += dist * fraction
             shortfall = f"need {energy} J but only {self.battery} J remaining"
             self.battery = 0.0
             self.emit("ABORT")
             raise BatteryDepleted(shortfall)
-        self._advance(x, y, z, dist, speed, self.rate, 1.0)
+        self._advance(x, y, z, dist, speed, self.rate, 1.0, dist)
         self.x, self.y, self.z = x, y, z  # land exactly on the target point
-        self.total_distance += dist
-        self.leg_distance += dist
         self.battery -= energy
 
     def hold(self, duration: float) -> None:
         """Hover in place, spending nothing: a move to the current point at
         rate 0 whose length, flown at unit speed, is the duration."""
-        self._advance(self.x, self.y, self.z, duration, 1.0, 0.0, 1.0)
+        self._advance(self.x, self.y, self.z, duration, 1.0, 0.0, 1.0, 0.0)
 
     def _advance(self, x: float, y: float, z: float, dist: float, speed: float,
-                 rate: float, fraction: float) -> None:
-        """Record the samples of ``fraction`` of a move toward (x, y, z) as
-        one ``_Move`` and move the clock to its end; the caller places the
-        drone.
+                 rate: float, fraction: float, flown: float) -> None:
+        """Record ``fraction`` of a move toward (x, y, z), ``flown`` metres
+        of it, as one ``_Move`` with its samples and move the clock to its
+        end; the caller places the drone.
 
         The samples are the ones a loop over the step grid takes: grid
         point k (counted on from the last one taken) while k * step is below
@@ -411,13 +435,17 @@ class _Flight:
         step, taken = self.step, self._samples
         last = max(taken, _grid_count(t1 - _BOUNDARY_EPS, step, operator.lt))
         first = max(taken, _grid_count(t0 + _BOUNDARY_EPS, step, operator.le)) + 1
-        if first <= last:
-            # rate * speed is evaluated first, as in battery0 - rate * speed * (ts - t0).
-            self.records.append(_Move(t0, x0, y0, z0, x - x0, y - y0, z - z0, speed, dist,
-                                      rate * speed, self.battery, self.payload_mass, step,
-                                      first, last))
+        # rate * speed is evaluated first, as in battery0 - rate * speed * (ts - t0).
+        self.records.append(_Move(t0, x0, y0, z0, x - x0, y - y0, z - z0, speed, dist,
+                                  rate * speed, self.battery, self.payload_mass, step,
+                                  first, last, flown))
         self._samples = last
         self.clock = t1
+
+
+def _flown(runs: Sequence[TelemetryRecord | _Move]) -> float:
+    """The metres flown over the moves among ``runs``, added in flying order."""
+    return left_to_right_sum(run.flown for run in runs if type(run) is _Move)
 
 
 def _check_consistency(plan: MissionPlan, assignment: HangingAssignment,
@@ -488,13 +516,12 @@ def simulate_mission(network: SkywayNetwork, plan: MissionPlan,
     for leg_number, leg in enumerate(plan.legs, start=1):
         leg_payload = flight.payload_mass
         flight.rate = leg_rate = consumption_rate(drone, leg_payload)
-        flight.leg_distance = 0.0
-        if leg.release is None and leg.path.total_length == 0.0:
-            # Package-free mission: the drone never leaves the rooftop.
-            leg_energies.append(LegEnergy(0.0, leg_payload, leg_rate, 0.0))
-            flight.emit("LAND")
-            break
+        start = len(flight.records)
         try:
+            if leg.release is None and leg.path.total_length == 0.0:
+                # Package-free mission: the drone never leaves the rooftop.
+                flight.emit("LAND")
+                break
             if leg.release is None and order:
                 flight.emit("RETURN_LEG")
             stops = [network.node(node_id) for node_id in leg.path.nodes]
@@ -530,16 +557,15 @@ def simulate_mission(network: SkywayNetwork, plan: MissionPlan,
             abort_reason = f"battery depleted on leg {leg_number}"
             break
         finally:
-            leg_energies.append(LegEnergy(
-                flight.leg_distance, leg_payload, leg_rate,
-                leg_rate * flight.leg_distance))
+            distance = _flown(flight.records[start:])
+            leg_energies.append(LegEnergy(distance, leg_payload, leg_rate, leg_rate * distance))
 
     breakdown = EnergyBreakdown(tuple(leg_energies),
                                 left_to_right_sum(rec.energy for rec in leg_energies))
     report = MissionReport(
         completed=abort_reason is None,
         releases=tuple(releases),
-        total_distance_3d=flight.total_distance,
+        total_distance_3d=_flown(flight.records),
         energy=breakdown,
         end_position=(flight.x, flight.y, flight.z),
         abort_reason=abort_reason,

@@ -21,6 +21,7 @@ import io
 import itertools
 import json
 import math
+import sys
 from dataclasses import asdict, replace
 
 from hypothesis import strategies as st
@@ -36,7 +37,7 @@ from skyway_delivery import (
     generate_scenario,
     stop_matrix,
 )
-from skyway_delivery.errors import NonFiniteLength
+from skyway_delivery.errors import BatteryDepleted, NonFiniteLength
 from skyway_delivery.simulator import _BOUNDARY_EPS, TelemetryRecord, _Flight
 
 N1_NODE_SPECS = [
@@ -298,7 +299,7 @@ def json_dumps_scenario(scenario) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def reference_advance(flight, x, y, z, dist, speed, rate, fraction):
+def reference_advance(flight, x, y, z, dist, speed, rate, fraction, flown):
     """``_Flight._advance`` as a loop over the step grid that appends each
     sample, every value read from the flight and written inline in its
     formula; the oracle for the rows of the flight's moves."""
@@ -328,6 +329,27 @@ def reference_advance(flight, x, y, z, dist, speed, rate, fraction):
 
 
 class ReferenceFlight(_Flight):
-    """A flight whose samples come from ``reference_advance``."""
+    """A flight whose samples come from ``reference_advance`` and whose
+    metres flown are a running total, added as each travel ends and not at
+    all on a hold; the oracle for the fold of the moves' ``flown``. An
+    aborted travel adds nothing when its fraction or its part flown is
+    subnormal, since the drone then stays put."""
 
     _advance = reference_advance
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.total_distance = 0.0
+
+    def travel(self, x, y, z, speed):
+        dist = math.dist((self.x, self.y, self.z), (x, y, z))
+        battery, energy = self.battery, self.rate * dist
+        try:
+            super().travel(x, y, z, speed)
+        except BatteryDepleted:
+            fraction = (battery / energy if energy < math.inf
+                        else battery / self.rate / dist)
+            if min(fraction, dist * fraction) >= sys.float_info.min:
+                self.total_distance += dist * fraction
+            raise
+        self.total_distance += dist

@@ -441,12 +441,10 @@ def test_integer_too_large_for_a_float_exits_two(capsys, tmp_path):
 
 def test_compare_strategies_is_library_code():
     import skyway_delivery
-    from skyway_delivery import cli, simulator
+    from skyway_delivery import simulator
 
     assert compare_strategies is simulator.compare_strategies
     assert skyway_delivery.compare_strategies is simulator.compare_strategies
-    assert cli.CompareResult is simulator.CompareResult
-    assert cli.StrategyOutcome is simulator.StrategyOutcome
 
 
 def test_negative_zero_prints_as_zero(capsys, tmp_path):

@@ -137,6 +137,7 @@ def test_a_wrong_argument_raises_a_package_error_or_returns(name, data):
 
 
 _N1 = helpers.build_n1()
+_N1_SCENARIO = sd.parse_scenario((ROOT / "scenarios" / "n1.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("call, text", [
@@ -160,6 +161,27 @@ _N1 = helpers.build_n1()
     (lambda: sd.cli_main(5), "argv: expected a list, got int"),
     (lambda: sd.cli_main(["plan", 1]), "argv[1]: expected a str, got int"),
     (lambda: sd.TelemetryLog(5), "log: expected a Sequence, got int"),
+    # The containers that the writers read judge what they hold.
+    (lambda: sd.export_telemetry([sd.TelemetryRecord("x", 0, 0, 0, 0, 0)]),
+     "log[0].t: expected a number, got str"),
+    (lambda: sd.TelemetryLog([sd.TelemetryRecord(0.0, 0, 0, 0, 0, 0, 5)]),
+     "log[0].event: expected a str, got int"),
+    (lambda: sd.export_telemetry([sd.TelemetryRecord(0.0, 0, 0, 10**400, 0, 0)]),
+     "log[0].z: must be finite"),
+    (lambda: dataclasses.replace(_N1_SCENARIO, network=5),
+     "network: expected a SkywayNetwork, got int"),
+    (lambda: dataclasses.replace(_N1_SCENARIO, packages=[5]),
+     "packages[0]: expected a Package, got int"),
+    (lambda: dataclasses.replace(_N1_SCENARIO, drone=5), "drone: expected a DroneConfig, got int"),
+    (lambda: sd.serialize_report(sd.MissionReport(True, 5, 0.0, None, (0, 0, 0))),
+     "report.releases: expected a tuple, got int\n"
+     "report.energy: expected an EnergyBreakdown, got NoneType"),
+    (lambda: sd.serialize_report(sd.MissionReport(
+        True, (("p1", "A", "t"),), 0.0,
+        sd.EnergyBreakdown((sd.LegEnergy(0.0, 0.0, None, 0.0),), 0.0), (0, 0))),
+     "report.releases[0][2]: expected a number, got str\n"
+     "report.energy.legs[0].rate: expected a number, got NoneType\n"
+     "report.end_position: expected 3 values, got 2"),
 ])
 def test_a_call_names_its_argument_of_the_wrong_type(call, text):
     with pytest.raises(SkywayError) as excinfo:

@@ -12,7 +12,7 @@ import textwrap
 import tracemalloc
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -34,8 +34,10 @@ from skyway_delivery import (
     simulate_mission,
 )
 from skyway_delivery.errors import (BatteryDepleted, InconsistentAssignment, InvalidLevel,
-                                    InvalidPackage, ValidationError)
+                                    InvalidPackage, NonFiniteLength, SkywayError,
+                                    ValidationError)
 from skyway_delivery import simulator
+from skyway_delivery.planner import left_to_right_sum
 from skyway_delivery.simulator import _BOUNDARY_EPS, _Flight, _grid_count
 
 
@@ -629,6 +631,8 @@ def fly_moves(flight, moves):
             flight.hold(max(0.0, end - flight.clock))
 
 
+# The charge pays for a subnormal part of the travel, so the drone stays put.
+@example((0.0, 0.0, 0.0), 1e-310, 0.0, 0.1, [("travel", 10.0, 0.0, 0.0, 1.0, 1.0)])
 @given(st.tuples(coordinates, coordinates, coordinates), st.floats(0.0, 2000.0),
        st.floats(0.0, 5.0), steps, st.lists(moves, max_size=8))
 def test_sampling_loop_matches_its_reference(start, battery, payload, step, moves):
@@ -644,6 +648,22 @@ def test_sampling_loop_matches_its_reference(start, battery, payload, step, move
     assert fast._samples == reference._samples
     assert repr((fast.clock, fast.x, fast.y, fast.z, fast.battery)) == repr(
         (reference.clock, reference.x, reference.y, reference.z, reference.battery))
+    # The moves' metres, folded in flying order, are the running total,
+    # aborted travels included.
+    assert repr(simulator._flown(fast.records)) == repr(reference.total_distance)
+
+
+def test_a_hold_that_straddles_a_grid_point_is_a_move_without_rows():
+    # The second hold starts and ends within _BOUNDARY_EPS of the grid point 0.1.
+    flight = _Flight(0.0, 0.0, 0.0, 100.0, 0.0, 0.1)
+    flight.hold(0.1 - 5e-10)
+    flight.hold(6e-10)
+    assert [(move.first, move.last, move.flown) for move in flight.records] == [
+        (1, 0, 0.0), (2, 0, 0.0)]
+    log = TelemetryLog(flight.records)
+    assert len(log) == len(list(log)) == 0
+    assert log[:] == []
+    assert export_telemetry(log) == "t,x,y,z,payload_mass,battery_remaining,event\n"
 
 
 @example(118, 0.01, 0, operator.le)  # 118 * 0.01 == 1.18 but 1.18 / 0.01 < 118
@@ -694,3 +714,82 @@ def test_the_log_reads_as_the_list_of_its_records(node_count, package_count, see
     # The export formats the moves' rows from their constants, and each
     # record of the list on its own.
     assert export_telemetry(log) == export_telemetry(records)
+
+
+# -- any flight raises or reports what it flew --------------------------------
+
+# Non-finite, huge, tiny and degenerate values for any number of a drone or a
+# rig, a dwell or a step, beside ordinary ones.
+edge_numbers = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, 5e-324, 1e-300, 1e-14, 2e-14,
+                     1e-6, 1e300, 1.7e308]),
+    st.floats(1e-3, 1e4))
+drone_fields = st.fixed_dictionaries(
+    {}, optional={field.name: edge_numbers for field in dataclasses.fields(DroneConfig)})
+
+
+def fly_generated(node_count, package_count, seed, area, fields, hangs, clearance, dwell,
+                  step):
+    """Fly the NDF plan of a generated scenario with a drone of ``fields``,
+    a rig of ``hangs`` (put in decreasing order) and ``clearance``, and the
+    given dwell and step: (scenario, drone, log, report)."""
+    scenario = generate_scenario(node_count, min(package_count, node_count - 1), seed,
+                                 area=area)
+    drone = DroneConfig(**fields)
+    rig = StringRig(tuple(sorted(hangs, reverse=True)), clearance)
+    plan = plan_ndf(scenario.network, scenario.source, scenario.packages)
+    log, report = simulate_mission(scenario.network, plan, assign_levels(plan), drone, rig,
+                                   scenario.packages, release_dwell=dwell,
+                                   telemetry_step=step)
+    return scenario, drone, log, report
+
+
+# At a step of 2**-40 s, the 2**53rd grid point is at 8192 s: a dwell of
+# 8000 s keeps this mission under it, one of 8192 s goes past it.
+UNDER_2_53_STEPS = (2, 1, 0, (60.0, 60.0), {}, [3.0, 2.0, 1.0], 1.0, 8000.0, 2**-40)
+PAST_2_53_STEPS = (*UNDER_2_53_STEPS[:-2], 8192.0, 2**-40)
+
+
+@settings(max_examples=300)
+@example(*UNDER_2_53_STEPS)
+@example(*PAST_2_53_STEPS)
+# The report's energy passes the battery by one ulp.
+@example(2, 1, 1, (0.05, 0.05), {}, [1e300], 5e-324, 0.0, math.inf)
+# The charge pays for a subnormal part of the ascent.
+@example(2, 1, 0, (0.05, 0.05), {"frame_mass": 0.0, "payload_rate": 5e-324,
+                                  "base_rate": 1.7e308, "vertical_speed": 5e-324,
+                                  "battery_capacity": 1e-14}, [5e-324], 1.0, 0.0, math.inf)
+# A move that ends at 0 s: (0 - _BOUNDARY_EPS) / 5e-324 is -inf steps.
+@example(2, 1, 0, (0.05, 0.05), {"battery_capacity": 5e-324}, [5e-324], 5e-324, 0.0, 5e-324)
+@given(st.integers(2, 6), st.integers(0, 3), st.integers(0, 10**6),
+       st.sampled_from([(0.05, 0.05), (60.0, 60.0), (1e12, 1e12), (1e300, 1e300)]),
+       drone_fields, st.lists(edge_numbers, min_size=1, max_size=4), edge_numbers,
+       edge_numbers, edge_numbers)
+def test_a_flight_raises_or_reports_what_it_flew(node_count, package_count, seed, area,
+                                                 fields, hangs, clearance, dwell, step):
+    try:
+        scenario, drone, log, report = fly_generated(
+            node_count, package_count, seed, area, fields, hangs, clearance, dwell, step)
+    except (SkywayError, ValueError):
+        return
+    legs = report.energy.legs
+    assert math.isclose(report.total_distance_3d,
+                        left_to_right_sum(leg.distance_3d for leg in legs), rel_tol=1e-9)
+    # The report's energy is each leg's rate times its folded distance, not
+    # the charge the moves spent, so it can pass the battery by rounding.
+    assert report.energy.total <= drone.battery_capacity or math.isclose(
+        report.energy.total, drone.battery_capacity, rel_tol=1e-9)
+    if report.completed:
+        source = scenario.network.node(scenario.source)
+        home = (source.x, source.y, source.rooftop_height)
+        assert math.dist(report.end_position, home) <= 1e-9
+    if len(log) > simulator._ROW_BUDGET:
+        with pytest.raises(ValidationError, match="exceed the budget"):
+            export_telemetry(log)
+
+
+def test_a_flight_of_2_53_telemetry_steps_raises():
+    log = fly_generated(*UNDER_2_53_STEPS)[2]
+    assert 2**52 < len(log) < 2**53
+    with pytest.raises(NonFiniteLength, match=r"2\*\*53 or more telemetry steps"):
+        fly_generated(*PAST_2_53_STEPS)
