@@ -16,10 +16,10 @@ from json.encoder import encode_basestring_ascii as _json_string
 
 from .errors import InvalidParams, ScenarioSyntaxError, SkywayError, ValidationError
 from .graph import Node, SkywayNetwork, _assemble, build_network, node_faults, segment_faults
-from .planner import DroneConfig, Package, _judge, level_violation, package_faults
+from .planner import DroneConfig, Package, level_violation, package_faults
 from .rules import (_require, _type_violation, as_number, field_violations, integer, non_empty,
                     numeric)
-from .simulator import EnergyBreakdown, LegEnergy, MissionReport, StringRig
+from .simulator import EnergyBreakdown, LegEnergy, MissionReport, StringRig, _judge_mission
 
 _TOP_KEYS = {"label", "source", "nodes", "segments", "drone", "rig", "packages"}
 _SEGMENT_KEYS = {"a", "b"}
@@ -39,14 +39,9 @@ class Scenario:
     label: str | None = None
 
     def __post_init__(self):
-        found = [_type_violation(name, getattr(self, name), kind)
-                 for name, kind in (("network", SkywayNetwork), ("source", str),
-                                    ("rig", StringRig))]
-        if self.label is not None:
-            found.append(_type_violation("label", self.label, str))
-        if self.drone is None:  # a plan may leave out the drone, a scenario may not
-            found.append(_type_violation("drone", self.drone, DroneConfig))
-        _judge(self.drone, self.packages, None, found)
+        _judge_mission(self.network, self.rig, self.drone, self.packages, [
+            _type_violation("source", self.source, str),
+            None if self.label is None else _type_violation("label", self.label, str)])
 
 
 # Each constructor argument's name and default. The type and value rules

@@ -95,9 +95,6 @@ class TelemetryRecord(NamedTuple):
     event: str = ""
 
 
-_PLAIN_RECORD = (float,) * 6 + (str,)
-
-
 def _record_faults(name: str, record) -> list[str]:
     """The violations of ``record`` as a telemetry row: not a
     TelemetryRecord, one of its six values not a number or an int too large
@@ -192,10 +189,7 @@ class TelemetryLog(abc.Sequence):
         is not a number or an event that is not a str, raises ValidationError."""
         _require("log", runs, abc.Sequence)
         self._runs = runs = tuple(runs)
-        # A record the simulator makes holds six floats and a str; only the
-        # other runs are looked into.
-        found = [fault for i, run in enumerate(runs) if type(run) is not _Move and (
-                     type(run) is not TelemetryRecord or tuple(map(type, run)) != _PLAIN_RECORD)
+        found = [fault for i, run in enumerate(runs) if type(run) is not _Move
                  for fault in _record_faults(f"log[{i}]", run)]
         if found:
             raise ValidationError(found)
@@ -469,6 +463,19 @@ def _check_consistency(plan: MissionPlan, assignment: HangingAssignment,
         raise InvalidLevel(violation)
 
 
+def _judge_mission(network: SkywayNetwork, rig: StringRig, drone: DroneConfig,
+                   packages: Sequence[Package], found: list[str | None]) -> None:
+    """Raise one ValidationError naming each of a mission's network, rig,
+    drone and packages that is of the wrong type, with ``found``, the
+    caller's violations for its other arguments (None for each one that is
+    fine), after the network's."""
+    found = [_type_violation("network", network, SkywayNetwork), *found,
+             _type_violation("rig", rig, StringRig)]
+    if drone is None:  # a plan may leave out the drone, a mission may not
+        found.append(_type_violation("drone", drone, DroneConfig))
+    _judge(drone, packages, None, found)
+
+
 def simulate_mission(network: SkywayNetwork, plan: MissionPlan,
                      assignment: HangingAssignment, drone: DroneConfig,
                      rig: StringRig, packages: Sequence[Package],
@@ -484,12 +491,7 @@ def simulate_mission(network: SkywayNetwork, plan: MissionPlan,
     ``assignment`` must equal ``assign_levels(plan)``. An argument of the
     wrong type raises ValidationError.
     """
-    found = [_type_violation(name, value, kind)
-             for name, value, kind in (("network", network, SkywayNetwork),
-                                       ("plan", plan, MissionPlan), ("rig", rig, StringRig))]
-    if drone is None:  # a plan may leave out the drone, a flight may not
-        found.append(_type_violation("drone", drone, DroneConfig))
-    _judge(drone, packages, None, found)
+    _judge_mission(network, rig, drone, packages, [_type_violation("plan", plan, MissionPlan)])
     step, dwell = as_number(telemetry_step), as_number(release_dwell)
     if step is None or not step > 0:
         raise ValueError(f"telemetry_step must be a number > 0 (got {telemetry_step!r})")
