@@ -9,7 +9,7 @@ import heapq
 import math
 from collections import abc
 from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator, NamedTuple
+from typing import Collection, Iterable, NamedTuple
 
 from .errors import (
     DisconnectedNetwork,
@@ -223,17 +223,11 @@ def shortest_paths_from(network: SkywayNetwork, source: str,
     network.node(source)
     if targets is not None:
         targets = _distinct_nodes(network, "targets", targets)
-    pending = set(network.adjacency if targets is None else targets)
+    pending = network.adjacency if targets is None else targets
     prev: dict[str, str | None] = {}
-    dist: dict[str, float] = {}  # the settled nodes, in settling order
-    if pending:
-        for d, node in _settle(network.adjacency, source, prev):
-            dist[node] = d
-            pending.discard(node)
-            if not pending:
-                break
-        else:
-            raise DisconnectedNetwork(pending)
+    dist = _settle(network.adjacency, source, set(pending), prev) if pending else {}
+    if len(dist) < len(pending):
+        raise DisconnectedNetwork(set(pending) - dist.keys())
     return {node: Path(_walk(prev, node), dist[node])
             for node in (dist if targets is None else targets)}
 
@@ -260,41 +254,42 @@ def _nearest_stops(network: SkywayNetwork, source: str,
     DisconnectedNetwork when no stop is reachable.
     """
     prev: dict[str, str | None] = {}
-    nearest: dict[str, float] = {}
-    least = math.inf
-    for d, node in _settle(network.adjacency, source, prev):
-        if d > least:
-            break
-        if node in stops:
-            nearest[node] = least = d
+    nearest = _settle(network.adjacency, source, stops, prev, nearest=True)
     if not nearest:
         raise DisconnectedNetwork(stops)
     return {stop: Path(_walk(prev, stop), d) for stop, d in nearest.items()}
 
 
 def _settle(adjacency: dict[str, tuple[tuple[str, float], ...]], source: str,
-            prev: dict[str, str | None]) -> Iterator[tuple[float, str]]:
-    """Dijkstra's settling order from ``source``: yields (distance, node) as
-    each reachable node settles, and fills ``prev`` with predecessor links.
+            stops: Collection[str], prev: dict[str, str | None],
+            nearest: bool = False) -> dict[str, float]:
+    """Dijkstra from ``source`` until every one of ``stops`` is settled, or,
+    with ``nearest``, until the first distance popped past the first stop
+    settled. Returns the distances of the stops settled, in settling order,
+    and fills ``prev`` with predecessor links.
 
-    A node's distance and its walk along ``prev`` are final once it is
-    yielded; the caller ends the search by leaving its loop. Of the walks of
-    equal length (bit for bit) each node gets the lexicographically smallest.
-    Each node keeps only its distance and its predecessor, and on an exactly
-    equal tentative distance the two full walks decide. A segment shorter
-    than half an ulp of the distance so far leaves the sum unchanged, so the
-    nodes at the popped distance form one batch that settles smallest walk
-    first, and a node reached at that distance again joins the batch.
+    A settled node's distance and its walk along ``prev`` are final. Of the
+    walks of equal length (bit for bit) each node gets the lexicographically
+    smallest. Each node keeps only its distance and its predecessor, and on
+    an exactly equal tentative distance the two full walks decide. A segment
+    shorter than half an ulp of the distance so far leaves the sum
+    unchanged, so the nodes at the popped distance form one batch that
+    settles smallest walk first, and a node reached at that distance again
+    joins the batch.
     """
     push, pop = heapq.heappush, heapq.heappop
     dist = {source: 0.0}
     prev[source] = None
     settled: set[str] = set()
+    found: dict[str, float] = {}
+    least = math.inf
     heap = [(0.0, source)]
     while heap:
         d, node = pop(heap)
         if node in settled:
             continue
+        if d > least:
+            break
         if heap and heap[0][0] == d:
             # The batch at d: settle its smallest walk, put the rest back.
             batch = [node]
@@ -306,7 +301,12 @@ def _settle(adjacency: dict[str, tuple[tuple[str, float], ...]], source: str,
             for other in batch:
                 if other != node:
                     push(heap, (d, other))
-        yield d, node
+        if node in stops:
+            found[node] = d
+            if nearest:
+                least = d
+            elif len(found) == len(stops):
+                break
         settled.add(node)
         for neighbour, length in adjacency[node]:
             reach = d + length
@@ -318,6 +318,7 @@ def _settle(adjacency: dict[str, tuple[tuple[str, float], ...]], source: str,
             elif (reach == known and neighbour not in settled
                   and _walk(prev, node) + (neighbour,) < _walk(prev, neighbour)):
                 prev[neighbour] = node
+    return found
 
 
 def _walk(prev: dict[str, str | None], node: str) -> tuple[str, ...]:

@@ -23,8 +23,8 @@ from .graph import Path, SkywayNetwork, _nearest_stops, shortest_path, stop_matr
 
 # The largest manifest the Held–Karp planner takes: the largest that plans
 # in under 1 s. On a 2-core VM (Python 3.11), generate_scenario(500, 15,
-# seed) plans in 0.4–0.6 s and peaks at 36 MB RSS; 16 packages take
-# 0.8–1.3 s.
+# seed) plans in 0.42–0.64 s and peaks at 35 MB RSS (seeds 0–5); 16
+# packages take 1.0–1.4 s and 56 MB.
 EXHAUSTIVE_PACKAGE_CAP = 15
 
 
@@ -234,14 +234,52 @@ def plan_optimal(network: SkywayNetwork, source: str, packages: Sequence[Package
     destination of the i-th package by id; equal-distance orders resolve to
     the lexicographically smallest package-id sequence.
     """
+    ordered = _capped(network, source, packages, drone, level_count)
+    paths, dist = _stop_paths(network, source, ordered)
+    return _plan_over(source, ordered, paths, optimal_order(dist)[0], "exhaustive")
+
+
+def _compared_plans(network: SkywayNetwork, source: str, packages: Sequence[Package],
+                    drone: DroneConfig | None,
+                    level_count: int | None) -> tuple[MissionPlan, MissionPlan]:
+    """``plan_ndf`` and ``plan_optimal`` of the same arguments, both read
+    off one stop matrix.
+
+    NDF's bounded searches settle the same nodes in the same order as the
+    matrix's full ones, so the nearest-first order over the matrix is its
+    plan. A disconnected network raises the DisconnectedNetwork that
+    ``plan_ndf`` does, but only after TooManyPackagesForExhaustive.
+    """
+    ordered = _capped(network, source, packages, drone, level_count)
+    paths, dist = _stop_paths(network, source, ordered)
+    return (_plan_over(source, ordered, paths, _nearest_first(dist), "ndf"),
+            _plan_over(source, ordered, paths, optimal_order(dist)[0], "exhaustive"))
+
+
+def _capped(network: SkywayNetwork, source: str, packages: Sequence[Package],
+            drone: DroneConfig | None, level_count: int | None) -> list[Package]:
+    """``_checked``, then TooManyPackagesForExhaustive past the cap."""
     ordered = _checked(network, source, packages, drone, level_count)
     if len(ordered) > EXHAUSTIVE_PACKAGE_CAP:
         raise TooManyPackagesForExhaustive(
             f"{len(ordered)} packages exceed the exhaustive cap of {EXHAUSTIVE_PACKAGE_CAP}"
         )
+    return ordered
+
+
+def _stop_paths(network: SkywayNetwork, source: str, ordered: list[Package]
+                ) -> tuple[dict[str, dict[str, Path]], list[list[float]]]:
+    """The stop matrix's paths and its distances by stop number, stop 0
+    being the source and stop i the destination of ``ordered[i - 1]``."""
     stops = [source, *(p.destination for p in ordered)]
     paths = stop_matrix(network, stops)
-    order, _ = optimal_order([[paths[a][b].total_length for b in stops] for a in stops])
+    return paths, [[paths[a][b].total_length for b in stops] for a in stops]
+
+
+def _plan_over(source: str, ordered: list[Package], paths: dict[str, dict[str, Path]],
+               order: Iterable[int], label: str) -> MissionPlan:
+    """The plan that releases ``ordered[i - 1]`` for each stop i of
+    ``order`` along the matrix's ``paths``, then returns to ``source``."""
     legs: list[Leg] = []
     at = source
     for stop in order:
@@ -249,12 +287,27 @@ def plan_optimal(network: SkywayNetwork, source: str, packages: Sequence[Package
         legs.append(Leg(paths[at][package.destination], package.id))
         at = package.destination
     legs.append(Leg(paths[at][source], None))
-    return MissionPlan(source=source, legs=tuple(legs), strategy_label="exhaustive")
+    return MissionPlan(source=source, legs=tuple(legs), strategy_label=label)
 
 
-# The strategies by their CLI name. Callers look a planner up here when they
-# call it, so a wrapper put into this table (as the benchmark's tracer does)
-# is the one that runs.
+def _nearest_first(dist: Sequence[Sequence[float]]) -> tuple[int, ...]:
+    """From stop 0, always on to the nearest stop not yet visited.
+
+    A tie goes to the smaller stop; a repeated destination is a 0.0 entry,
+    so it is taken next.
+    """
+    order = [0]
+    left = list(range(1, len(dist)))
+    while left:
+        order.append(min(left, key=dist[order[-1]].__getitem__))
+        left.remove(order[-1])
+    return tuple(order[1:])
+
+
+# The strategies by their CLI name. The CLI's ``plan`` and ``run`` look a
+# planner up here when they call it, so a wrapper put into this table (as
+# the benchmark's tracer does) is the one that runs; ``compare_strategies``
+# plans both through ``_compared_plans`` instead.
 PLANNERS = {"ndf": plan_ndf, "exhaustive": plan_optimal}
 
 
@@ -304,7 +357,9 @@ def optimal_order(dist: Sequence[Sequence[float]]) -> tuple[tuple[int, ...], flo
     back = [dist[j + 1][0] for j in range(n)]
     hop = [[dist[i + 1][j + 1] for j in range(n)] for i in range(n)]
     into = [list(column) for column in zip(*hop)]  # into[j][i] == hop[i][j]
-    members = [[j for j in range(n) if mask >> j & 1] for mask in range(full + 1)]
+    members: list[list[int]] = [[]]  # members[mask]: the stops in mask, ascending
+    for j in range(n):
+        members += [[*m, j] for m in members]
 
     # 1. low[mask][j], inf where j is not in mask.
     low: list[list[float]] = [[]] * (full + 1)

@@ -22,9 +22,9 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 from .errors import (BatteryDepleted, InconsistentAssignment, InvalidLevel, NegativePayload,
                      NonFiniteLength, ValidationError)
 from .graph import SkywayNetwork
-from .planner import (PLANNERS, DroneConfig, HangingAssignment, MissionPlan, Package, _judge,
-                      assign_levels, left_to_right_sum, level_violation, package_faults,
-                      plan_total_distance)
+from .planner import (DroneConfig, HangingAssignment, MissionPlan, Package, _compared_plans,
+                      _judge, assign_levels, left_to_right_sum, level_violation,
+                      package_faults, plan_total_distance)
 from .rules import _require, _type_violation, as_number, check_fields, finite, integer, positive
 
 if TYPE_CHECKING:
@@ -594,16 +594,18 @@ class CompareResult:
 def compare_strategies(scenario: Scenario) -> CompareResult:
     """Plan and fly both strategies, then relate their total distances.
 
-    The flights are for their reports only, so they record no telemetry
-    samples. A ``scenario`` that is not a Scenario raises ValidationError.
+    The plans are ``plan_ndf``'s and ``plan_optimal``'s, both read off one
+    stop matrix, and the errors are theirs: TooManyPackagesForExhaustive
+    comes before any search. The flights are for their reports only, so they
+    record no telemetry samples. A ``scenario`` that is not a Scenario
+    raises ValidationError.
     """
     from .scenario import Scenario  # scenario.py imports this module
 
     _require("scenario", scenario, Scenario)
     outcomes = []
-    for planner in PLANNERS.values():
-        plan = planner(scenario.network, scenario.source, scenario.packages,
-                       drone=scenario.drone, level_count=scenario.rig.level_count)
+    for plan in _compared_plans(scenario.network, scenario.source, scenario.packages,
+                                scenario.drone, scenario.rig.level_count):
         _, report = simulate_mission(scenario.network, plan, assign_levels(plan),
                                      scenario.drone, scenario.rig, scenario.packages,
                                      telemetry_step=math.inf)

@@ -5,10 +5,14 @@ from exhaustive DFS over simple paths, so Dijkstra has something independent
 to agree with; exact tie-breaking comes from a Dijkstra whose heap entries
 carry whole walks, so the predecessor-link one does; NDF plans come from
 the nearest-first rule over the full stop matrix, so the bounded search
-does; optimal release orders come from scoring every permutation, so
-the Held–Karp planner does; and telemetry samples come from the sampling
-loop written out over the flight's attributes, so the flight's moves, whose
-rows are made only when they are read, do.
+does (the rule is the planner's own ``_nearest_first``, which compare
+uses; ``test_ndf_matches_greedy_over_full_dijkstra_runs`` shares no code
+with the planner); optimal release orders come from scoring every
+permutation, so the Held–Karp planner does; a compare comes from the two
+planners run on their own, so the one that reads both plans off one stop
+matrix does; and telemetry samples come from the sampling loop written
+out over the flight's attributes, so the flight's moves, whose rows are
+made only when they are read, do.
 The telemetry CSV and the scenario document come from the standard
 library's general writers, ``csv.writer`` and ``json.dumps``, which the
 library's hand-built formats must match byte for byte.
@@ -27,17 +31,25 @@ from dataclasses import asdict, replace
 from hypothesis import strategies as st
 
 from skyway_delivery import (
+    CompareResult,
     Leg,
     MissionPlan,
     Node,
     Package,
     Path,
     SkywayNetwork,
+    StrategyOutcome,
+    assign_levels,
     build_network,
     generate_scenario,
+    plan_ndf,
+    plan_optimal,
+    plan_total_distance,
+    simulate_mission,
     stop_matrix,
 )
 from skyway_delivery.errors import BatteryDepleted, NonFiniteLength
+from skyway_delivery.planner import _nearest_first
 from skyway_delivery.simulator import _BOUNDARY_EPS, TelemetryRecord, _Flight
 
 N1_NODE_SPECS = [
@@ -210,22 +222,8 @@ def simple_path_minima(network: SkywayNetwork, source: str) -> dict[str, float]:
     return minima
 
 
-def nearest_first(dist) -> tuple[int, ...]:
-    """From stop 0, always on to the nearest stop not yet visited.
-
-    A tie goes to the smaller stop; a repeated destination is a 0.0 entry,
-    so it is taken next.
-    """
-    order = [0]
-    left = list(range(1, len(dist)))
-    while left:
-        order.append(min(left, key=dist[order[-1]].__getitem__))
-        left.remove(order[-1])
-    return tuple(order[1:])
-
-
 def matrix_ndf_plan(network: SkywayNetwork, source: str, packages) -> MissionPlan:
-    """The NDF plan from ``nearest_first`` over the full stop matrix, stop 0
+    """The NDF plan from ``_nearest_first`` over the full stop matrix, stop 0
     being the source and stop i the destination of the i-th package by id;
     the oracle for ``plan_ndf``, whose searches end at the nearest stop."""
     ordered = sorted(packages, key=lambda p: p.id)
@@ -233,12 +231,36 @@ def matrix_ndf_plan(network: SkywayNetwork, source: str, packages) -> MissionPla
     paths = stop_matrix(network, stops)
     legs = []
     at = source
-    for stop in nearest_first([[paths[a][b].total_length for b in stops] for a in stops]):
+    for stop in _nearest_first([[paths[a][b].total_length for b in stops] for a in stops]):
         package = ordered[stop - 1]
         legs.append(Leg(paths[at][package.destination], package.id))
         at = package.destination
     legs.append(Leg(paths[at][source], None))
     return MissionPlan(source=source, legs=tuple(legs), strategy_label="ndf")
+
+
+def reference_compare(scenario) -> CompareResult:
+    """``compare_strategies`` as ``plan_ndf`` and ``plan_optimal``, each
+    searching on its own, then each plan flown at ``telemetry_step=math.inf``;
+    the oracle for the compare that reads both plans off one stop matrix."""
+    outcomes = []
+    for planner in (plan_ndf, plan_optimal):
+        plan = planner(scenario.network, scenario.source, scenario.packages,
+                       drone=scenario.drone, level_count=scenario.rig.level_count)
+        _, report = simulate_mission(scenario.network, plan, assign_levels(plan),
+                                     scenario.drone, scenario.rig, scenario.packages,
+                                     telemetry_step=math.inf)
+        outcomes.append(StrategyOutcome(
+            label=plan.strategy_label,
+            release_order=plan.release_order,
+            total_distance=plan_total_distance(plan),
+            total_energy=report.energy.total,
+            completed=report.completed,
+        ))
+    ndf, optimal = outcomes
+    gap = (100.0 * (ndf.total_distance - optimal.total_distance) / optimal.total_distance
+           if optimal.total_distance > 0 else 0.0)
+    return CompareResult(ndf=ndf, optimal=optimal, distance_gap_percent=gap)
 
 
 def permutation_order(dist) -> tuple[tuple[int, ...], float]:

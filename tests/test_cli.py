@@ -6,16 +6,23 @@ import math
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
+import helpers
 from skyway_delivery import (
     EXHAUSTIVE_PACKAGE_CAP,
+    DroneConfig,
+    Package,
+    Scenario,
+    StringRig,
     generate_scenario,
     parse_scenario,
     plan_ndf,
     serialize_scenario,
     simulate_mission,
 )
-from skyway_delivery import cli
+from skyway_delivery import cli, graph
+from skyway_delivery.errors import DisconnectedNetwork, TooManyPackagesForExhaustive
 from skyway_delivery.cli import cli_main, compare_strategies
 from skyway_delivery.planner import PLANNERS
 
@@ -329,16 +336,69 @@ def test_strategy_choices_are_the_planner_table(capsys, command):
     assert f"--strategy {{{','.join(PLANNERS)}}}" in out
 
 
-def test_compare_flies_the_planners_in_the_table(monkeypatch, scenario_dir):
-    called = []
-    for name, planner in list(PLANNERS.items()):
-        def traced(*args, name=name, planner=planner, **kwargs):
-            called.append(name)
-            return planner(*args, **kwargs)
-        monkeypatch.setitem(PLANNERS, name, traced)
-    result = compare_strategies(parse_scenario((scenario_dir / "n2.json").read_text()))
-    assert called == list(PLANNERS)
-    assert [result.ndf.label, result.optimal.label] == list(PLANNERS)
+@given(st.one_of(helpers.generated_networks(), helpers.lattice_networks(),
+                 helpers.half_ulp_networks()), st.data())
+def test_compare_equals_the_two_planners_run_on_their_own(network, data):
+    ids = sorted(network.nodes)
+    source = data.draw(st.sampled_from(ids))
+    others = [node_id for node_id in ids if node_id != source]
+    destinations = data.draw(st.lists(st.sampled_from(others), max_size=6))
+    if destinations:  # send some packages where another one already goes
+        destinations += data.draw(st.lists(st.sampled_from(destinations), max_size=2))
+    packages = data.draw(st.permutations(
+        [Package(f"p{i}", 1.0, d) for i, d in enumerate(destinations)]))
+    scenario = Scenario(network, source, DroneConfig(),
+                        StringRig(levels=(8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0)),
+                        tuple(packages))
+    assert compare_strategies(scenario) == helpers.reference_compare(scenario)
+
+
+def counting_settle(monkeypatch) -> list[str]:
+    """Count the searches: each call of ``graph._settle`` adds its source."""
+    sources = []
+    settle = graph._settle
+
+    def counted(adjacency, source, *args, **kwargs):
+        sources.append(source)
+        return settle(adjacency, source, *args, **kwargs)
+
+    monkeypatch.setattr(graph, "_settle", counted)
+    return sources
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_compare_searches_once_from_each_distinct_stop(monkeypatch, seed):
+    scenario = generate_scenario(500, 9, seed)
+    stops = {scenario.source, *(p.destination for p in scenario.packages)}
+    sources = counting_settle(monkeypatch)
+    compare_strategies(scenario)
+    assert sorted(sources) == sorted(stops)
+
+
+@pytest.mark.parametrize("destinations", [["Q"], ["A", "Q"], ["Q", "C"]])
+def test_compare_names_the_unreachable_destinations_as_ndf_does(destinations):
+    network = helpers.disconnected_n1()
+    packages = tuple(Package(f"p{i}", 1.0, d) for i, d in enumerate(destinations))
+    with pytest.raises(DisconnectedNetwork) as ndf:
+        plan_ndf(network, "S", packages)
+    with pytest.raises(DisconnectedNetwork) as compare:
+        compare_strategies(Scenario(network, "S", DroneConfig(), StringRig(), packages))
+    assert str(compare.value) == str(ndf.value) == (
+        "network is disconnected; unreachable nodes: Q")
+
+
+def test_compare_refuses_too_many_packages_before_it_searches(monkeypatch):
+    crowd = EXHAUSTIVE_PACKAGE_CAP + 1
+    scenario = generate_scenario(node_count=crowd + 2, package_count=crowd, seed=5)
+    light = dataclasses.replace(
+        scenario,
+        packages=tuple(dataclasses.replace(p, mass=0.5) for p in scenario.packages))
+    sources = counting_settle(monkeypatch)
+    with pytest.raises(TooManyPackagesForExhaustive) as excinfo:
+        compare_strategies(light)
+    assert str(excinfo.value) == (
+        f"{crowd} packages exceed the exhaustive cap of {EXHAUSTIVE_PACKAGE_CAP}")
+    assert sources == []
 
 
 @pytest.mark.parametrize("command", ["plan", "run", "compare"])

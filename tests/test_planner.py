@@ -35,6 +35,7 @@ from skyway_delivery.errors import (
     UnknownDestination,
     ValidationError,
 )
+from skyway_delivery.planner import _nearest_first
 
 
 def test_feasibility_within_limits(n1_packages):
@@ -326,17 +327,17 @@ def test_optimal_order_takes_an_infinite_distance():
 def test_nearest_first_breaks_a_tie_toward_the_smaller_stop():
     # Stops 2 and 3 are equally near the start, then 1 and 3 from stop 2.
     dist = [[0, 5, 2, 2], [5, 0, 1, 4], [2, 1, 0, 1], [2, 4, 1, 0]]
-    assert helpers.nearest_first(dist) == (2, 1, 3)
+    assert _nearest_first(dist) == (2, 1, 3)
 
 
 def test_nearest_first_takes_a_repeated_destination_next():
     # Stops 2 and 3 share a rooftop, so the 0.0 entry beats the smaller stop 1.
     dist = [[0, 2, 1, 1], [2, 0, 0.5, 0.5], [1, 0.5, 0, 0.0], [1, 0.5, 0.0, 0]]
-    assert helpers.nearest_first(dist) == (2, 3, 1)
+    assert _nearest_first(dist) == (2, 3, 1)
 
 
 def test_nearest_first_without_stops():
-    assert helpers.nearest_first([[0.0]]) == ()
+    assert _nearest_first([[0.0]]) == ()
 
 
 def _manifests(data, network, max_packages=6):
