@@ -21,10 +21,10 @@ from .rules import (_require, _type_violation, as_number, check_fields, finite, 
                     non_empty, non_negative, positive)
 from .graph import Path, SkywayNetwork, _nearest_stops, shortest_path, stop_matrix
 
-# The largest manifest the Held–Karp planner takes: the largest that plans
-# in under 1 s. On a 2-core VM (Python 3.11), generate_scenario(500, 15,
-# seed) plans in 0.42–0.64 s and peaks at 35 MB RSS (seeds 0–5); 16
-# packages take 1.0–1.4 s and 56 MB.
+# The largest manifest the Held–Karp planner takes. Each package more
+# about doubles its time and memory: on a 2-core VM (Python 3.11),
+# generate_scenario(500, 15, seed) plans in 0.30–0.55 s and peaks at 35 MB
+# RSS (seeds 0–5), and 16 packages take 0.66–0.88 s and 56 MB.
 EXHAUSTIVE_PACKAGE_CAP = 15
 
 
@@ -234,8 +234,7 @@ def plan_optimal(network: SkywayNetwork, source: str, packages: Sequence[Package
     destination of the i-th package by id; equal-distance orders resolve to
     the lexicographically smallest package-id sequence.
     """
-    ordered = _capped(network, source, packages, drone, level_count)
-    paths, dist = _stop_paths(network, source, ordered)
+    ordered, paths, dist = _stop_paths(network, source, packages, drone, level_count)
     return _plan_over(source, ordered, paths, optimal_order(dist)[0], "exhaustive")
 
 
@@ -250,30 +249,29 @@ def _compared_plans(network: SkywayNetwork, source: str, packages: Sequence[Pack
     plan. A disconnected network raises the DisconnectedNetwork that
     ``plan_ndf`` does, but only after TooManyPackagesForExhaustive.
     """
-    ordered = _capped(network, source, packages, drone, level_count)
-    paths, dist = _stop_paths(network, source, ordered)
+    ordered, paths, dist = _stop_paths(network, source, packages, drone, level_count)
     return (_plan_over(source, ordered, paths, _nearest_first(dist), "ndf"),
             _plan_over(source, ordered, paths, optimal_order(dist)[0], "exhaustive"))
 
 
-def _capped(network: SkywayNetwork, source: str, packages: Sequence[Package],
-            drone: DroneConfig | None, level_count: int | None) -> list[Package]:
-    """``_checked``, then TooManyPackagesForExhaustive past the cap."""
+def _stop_paths(network: SkywayNetwork, source: str, packages: Sequence[Package],
+                drone: DroneConfig | None, level_count: int | None
+                ) -> tuple[list[Package], dict[str, dict[str, Path]], list[list[float]]]:
+    """The packages in id order once they are fit to plan, and then the
+    stop matrix's paths and its distances by stop number, stop 0 being the
+    source and stop i the destination of the i-th package.
+
+    Raises what ``_checked`` does, then TooManyPackagesForExhaustive past
+    the cap before any search, then what ``stop_matrix`` does.
+    """
     ordered = _checked(network, source, packages, drone, level_count)
     if len(ordered) > EXHAUSTIVE_PACKAGE_CAP:
         raise TooManyPackagesForExhaustive(
             f"{len(ordered)} packages exceed the exhaustive cap of {EXHAUSTIVE_PACKAGE_CAP}"
         )
-    return ordered
-
-
-def _stop_paths(network: SkywayNetwork, source: str, ordered: list[Package]
-                ) -> tuple[dict[str, dict[str, Path]], list[list[float]]]:
-    """The stop matrix's paths and its distances by stop number, stop 0
-    being the source and stop i the destination of ``ordered[i - 1]``."""
     stops = [source, *(p.destination for p in ordered)]
     paths = stop_matrix(network, stops)
-    return paths, [[paths[a][b].total_length for b in stops] for a in stops]
+    return ordered, paths, [[paths[a][b].total_length for b in stops] for a in stops]
 
 
 def _plan_over(source: str, ordered: list[Package], paths: dict[str, dict[str, Path]],
@@ -378,21 +376,28 @@ def optimal_order(dist: Sequence[Sequence[float]]) -> tuple[tuple[int, ...], flo
     high: list[list[float] | None] = [None] * (full + 1)
     high[full] = [_largest_prefix(back[j], best, low[full][j])
                   if low[full][j] + back[j] <= best else -inf for j in range(n)]
-    for mask in range(full - 1, 0, -1):
-        onward = [(m, high[mask | 1 << m][m]) for m in range(n)
-                  if not mask >> m & 1 and high[mask | 1 << m] is not None
-                  and high[mask | 1 << m][m] > -inf]
-        if not onward:
-            continue
-        row = [-inf] * n
-        for j in members[mask]:
-            prefix = low[mask][j]
-            for m, limit in onward:
-                leg = hop[j][m]
-                if prefix + leg <= limit:
-                    row[j] = max(row[j], _largest_prefix(leg, limit, prefix))
-        if max(row) > -inf:
-            high[mask] = row
+    # A row needs only the rows of the sets with one stop more, so the sets
+    # go one stop count at a time, and only those one stop short of a state
+    # on a minimal trip; every other row stays None.
+    level = [full]
+    while level:
+        below = {upper ^ 1 << j for upper in level for j in members[upper]
+                 if high[upper][j] > -inf} - {0}
+        level = []
+        for mask in below:
+            onward = [(m, high[mask | 1 << m][m]) for m in range(n)
+                      if not mask >> m & 1 and high[mask | 1 << m] is not None
+                      and high[mask | 1 << m][m] > -inf]
+            row = [-inf] * n
+            for j in members[mask]:
+                prefix = low[mask][j]
+                for m, limit in onward:
+                    leg = hop[j][m]
+                    if prefix + leg <= limit:
+                        row[j] = max(row[j], _largest_prefix(leg, limit, prefix))
+            if max(row) > -inf:
+                high[mask] = row
+                level.append(mask)
 
     # 3. The smallest next stop whose prefix stays within reach of the minimum.
     order: list[int] = []
