@@ -59,8 +59,7 @@ class Segment(NamedTuple):
     length: float
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     """A walk through the network; a single-node path has total_length 0."""
 
     nodes: tuple[str, ...]

@@ -7,7 +7,7 @@ import operator
 import struct
 from collections import abc
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     InfeasiblePayload,
@@ -65,16 +65,14 @@ class DroneConfig:
         check_fields(self, self.RULES)
 
 
-@dataclass(frozen=True)
-class Leg:
+class Leg(NamedTuple):
     """One hop of a mission: fly ``path``, then release ``release`` (or nothing)."""
 
     path: Path
     release: str | None = None
 
 
-@dataclass(frozen=True)
-class MissionPlan:
+class MissionPlan(NamedTuple):
     source: str
     legs: tuple[Leg, ...]
     strategy_label: str
@@ -84,16 +82,14 @@ class MissionPlan:
         return tuple(leg.release for leg in self.legs if leg.release is not None)
 
 
-@dataclass(frozen=True)
-class HangingAssignment:
+class HangingAssignment(NamedTuple):
     """Package id -> hanging level; level 1 is the bottom-most (longest) hang."""
 
     level_of: dict[str, int]
     level_count: int
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(NamedTuple):
     feasible: bool
     total_payload: float
     capacity: float
@@ -335,7 +331,9 @@ def optimal_order(dist: Sequence[Sequence[float]]) -> tuple[tuple[int, ...], flo
 
     Raises ValueError when ``dist`` is empty or not square, or holds an
     entry that is not a number >= 0; +inf is one. It is a ValidationError
-    when ``dist`` or a row of it is not a sequence.
+    when ``dist`` or a row of it is not a sequence. Past those checks, more
+    than EXHAUSTIVE_PACKAGE_CAP stops after stop 0 raise
+    TooManyPackagesForExhaustive before any table is built.
     """
     _require("dist", dist, abc.Sequence)
     for a, row in enumerate(dist):
@@ -347,6 +345,9 @@ def optimal_order(dist: Sequence[Sequence[float]]) -> tuple[tuple[int, ...], flo
             if as_number(entry) is None or not entry >= 0:
                 raise ValueError(f"dist[{a}][{b}] must be a number >= 0 (got {entry!r})")
     n = len(dist) - 1
+    if n > EXHAUSTIVE_PACKAGE_CAP:
+        raise TooManyPackagesForExhaustive(
+            f"{n} stops after stop 0 exceed the exhaustive cap of {EXHAUSTIVE_PACKAGE_CAP}")
     if n == 0:
         return (), 0.0 + dist[0][0]
     inf = math.inf

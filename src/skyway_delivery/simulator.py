@@ -306,8 +306,7 @@ def consumption_rate(drone: DroneConfig, payload_mass: float) -> float:
     return rate
 
 
-@dataclass(frozen=True)
-class LegEnergy:
+class LegEnergy(NamedTuple):
     """Energy spent on one plan leg flown at a constant payload."""
 
     distance_3d: float
@@ -316,14 +315,12 @@ class LegEnergy:
     energy: float
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
+class EnergyBreakdown(NamedTuple):
     legs: tuple[LegEnergy, ...]
     total: float
 
 
-@dataclass(frozen=True)
-class MissionReport:
+class MissionReport(NamedTuple):
     completed: bool
     releases: tuple[tuple[str, str, float], ...]
     total_distance_3d: float
@@ -491,7 +488,9 @@ def simulate_mission(network: SkywayNetwork, plan: MissionPlan,
     ``assignment`` must equal ``assign_levels(plan)``. An argument of the
     wrong type raises ValidationError.
     """
-    _judge_mission(network, rig, drone, packages, [_type_violation("plan", plan, MissionPlan)])
+    _judge_mission(network, rig, drone, packages,
+                   [_type_violation("plan", plan, MissionPlan),
+                    _type_violation("assignment", assignment, HangingAssignment)])
     step, dwell = as_number(telemetry_step), as_number(release_dwell)
     if step is None or not step > 0:
         raise ValueError(f"telemetry_step must be a number > 0 (got {telemetry_step!r})")

@@ -320,6 +320,21 @@ def test_optimal_order_rejects_a_malformed_matrix(dist, message):
     assert str(excinfo.value) == message
 
 
+class _UnreadRow(list):
+    """A matrix row that fails any read by index, which the tables make."""
+
+    def __getitem__(self, index):
+        raise AssertionError(f"a table read entry {index}")
+
+
+def test_optimal_order_refuses_more_stops_than_the_cap_before_any_table():
+    size = EXHAUSTIVE_PACKAGE_CAP + 2
+    with pytest.raises(TooManyPackagesForExhaustive) as excinfo:
+        optimal_order([_UnreadRow([0.0] * size) for _ in range(size)])
+    assert str(excinfo.value) == (
+        f"{size - 1} stops after stop 0 exceed the exhaustive cap of {EXHAUSTIVE_PACKAGE_CAP}")
+
+
 def test_optimal_order_takes_an_infinite_distance():
     assert optimal_order([[0, math.inf], [math.inf, 0]]) == ((1,), math.inf)
 

@@ -138,6 +138,7 @@ def test_a_wrong_argument_raises_a_package_error_or_returns(name, data):
 
 _N1 = helpers.build_n1()
 _N1_SCENARIO = sd.parse_scenario((ROOT / "scenarios" / "n1.json").read_text(encoding="utf-8"))
+_N1_PLAN = sd.plan_ndf(_N1, "S", helpers.N1_PACKAGES)
 
 
 @pytest.mark.parametrize("call, text", [
@@ -153,6 +154,9 @@ _N1_SCENARIO = sd.parse_scenario((ROOT / "scenarios" / "n1.json").read_text(enco
     (lambda: sd.plan_ndf("x", "S", helpers.N1_PACKAGES),
      "network: expected a SkywayNetwork, got str"),
     (lambda: sd.plan_optimal(_N1, ["S"], helpers.N1_PACKAGES), "unknown node ['S']"),
+    (lambda: sd.simulate_mission(_N1, _N1_PLAN, tuple(sd.assign_levels(_N1_PLAN)),
+                                 sd.DroneConfig(), sd.StringRig(), helpers.N1_PACKAGES),
+     "assignment: expected a HangingAssignment, got tuple"),
     (lambda: sd.StringRig().hang("1"), "level: expected an int, got str"),
     (lambda: sd.StringRig().hang(2.0), "level: expected an int, got float"),
     (lambda: sd.serialize_report(5), "report: expected a MissionReport, got int"),
@@ -187,3 +191,23 @@ def test_a_call_names_its_argument_of_the_wrong_type(call, text):
     with pytest.raises(SkywayError) as excinfo:
         call()
     assert str(excinfo.value) == text
+
+
+def test_output_only_results_are_named_tuples():
+    """The eight output-only results are tuples of their fields; the input
+    types and the compare pair are dataclasses."""
+    calls = _valid_calls()
+    for name in ("Path", "Leg", "MissionPlan", "HangingAssignment", "FeasibilityReport",
+                 "LegEnergy", "EnergyBreakdown", "MissionReport"):
+        cls, fields, _ = calls[name]
+        result = cls(*fields)
+        assert isinstance(result, tuple) and result == fields, name
+        assert result._replace(**{cls._fields[0]: "x"}) == ("x", *fields[1:]), name
+    assert repr(sd.LegEnergy(1.0, 2.0, 3.0, 4.0)) == (
+        "LegEnergy(distance_3d=1.0, payload_mass=2.0, rate=3.0, energy=4.0)")
+    # perfbench/workloads.py's CompareWorkload.digests hashes
+    # dataclasses.asdict of each CompareResult, so StrategyOutcome and
+    # CompareResult stay dataclasses until that digest reads their fields.
+    assert {name for name in sd.__all__ if dataclasses.is_dataclass(getattr(sd, name))} == {
+        "Node", "SkywayNetwork", "Package", "DroneConfig", "StringRig", "Scenario",
+        "StrategyOutcome", "CompareResult"}

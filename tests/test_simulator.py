@@ -544,8 +544,7 @@ def test_abort_during_final_landing():
 
 def test_a_package_released_twice_is_inconsistent(n1_network, n1_packages):
     plan = plan_ndf(n1_network, "S", n1_packages[:1])
-    twice = dataclasses.replace(
-        plan, legs=(plan.legs[0], Leg(Path(("A",), 0.0), "p1"), plan.legs[-1]))
+    twice = plan._replace(legs=(plan.legs[0], Leg(Path(("A",), 0.0), "p1"), plan.legs[-1]))
     with pytest.raises(InconsistentAssignment, match="twice"):
         simulate_mission(n1_network, twice, assign_levels(twice), DroneConfig(),
                          StringRig(), n1_packages)
