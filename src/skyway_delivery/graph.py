@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
     ZeroLengthSegment,
 )
-from .rules import _require, check_fields, finite, non_empty, non_negative
+from .rules import _require, check_fields, finite, non_empty, non_negative, positive
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,11 +68,41 @@ class Path(NamedTuple):
 
 @dataclass(frozen=True)
 class SkywayNetwork:
-    """Immutable connected undirected graph with id-sorted adjacency lists."""
+    """Immutable undirected graph: ``nodes`` maps each id to its Node, and
+    ``segments`` holds (a, b, length) rows of two ids and a finite number > 0.
+    Anything else raises ValidationError, also through ``replace``, which
+    derives the search index again."""
 
     nodes: dict[str, Node]
     segments: tuple[Segment, ...]
-    adjacency: dict[str, tuple[tuple[str, float], ...]]
+
+    def __post_init__(self):
+        _require("nodes", self.nodes, dict)
+        links: dict[str, list[tuple[str, float]]] = {}
+        for key, node in self.nodes.items():
+            if not (isinstance(node, Node) and node.id == key):
+                raise ValidationError([f"nodes[{key!r}]: expected the Node of id {key!r}"])
+            links[key] = []
+        _require("segments", self.segments, abc.Sequence)
+        for i, row in enumerate(self.segments):
+            try:
+                a, b, length = row
+                # A float length is judged inline; the rule judges any other.
+                if type(length) is float and 0.0 < length < math.inf or (
+                        positive("length", length) is None):
+                    links[a].append((b, length))
+                    links[b].append((a, length))
+                    continue
+            except (KeyError, TypeError, ValueError):
+                pass
+            name = f"segments[{i}]"
+            if not isinstance(row, (tuple, list)) or len(row) != 3:
+                raise ValidationError([f"{name}: expected an (a, b, length) row"])
+            for end, node_id in zip("ab", row):
+                if not (isinstance(node_id, str) and node_id in links):
+                    raise ValidationError([f"{name}.{end}: unknown node {node_id!r}"])
+            raise ValidationError([positive(f"{name}.length", length)])
+        object.__setattr__(self, "_links", links)
 
     def node(self, node_id: str) -> Node:
         """The node ``node_id``; UnknownNode for any other value, an
@@ -182,27 +212,19 @@ def _assemble(nodes: dict[str, Node], pairs: Iterable[tuple[str, str]]) -> Skywa
         # tuple.__new__ builds the row without Segment's Python-level __new__.
         rows.append(row(Segment, (a, b, length) if a < b else (b, a, length)))
     rows.sort()  # endpoint pairs are unique, so a length never decides the order
-
-    neighbours: dict[str, list[tuple[str, float]]] = {nid: [] for nid in nodes}
-    for a, b, length in rows:
-        neighbours[a].append((b, length))
-        neighbours[b].append((a, length))
-    # Each list is already sorted: the rows ending at n (a < n) come first, in
-    # order of a, then the rows starting at n, in order of b.
-    adjacency = {nid: tuple(links) for nid, links in neighbours.items()}
-
+    network = SkywayNetwork(nodes, tuple(rows))
+    links = network._links
     first = next(iter(nodes))
     reached = {first}
     frontier = [first]
     while frontier:
-        for neighbour, _ in adjacency[frontier.pop()]:
+        for neighbour, _ in links[frontier.pop()]:
             if neighbour not in reached:
                 reached.add(neighbour)
                 frontier.append(neighbour)
     if len(reached) != len(nodes):
         raise DisconnectedNetwork(set(nodes) - reached)
-
-    return SkywayNetwork(nodes=nodes, segments=tuple(rows), adjacency=adjacency)
+    return network
 
 
 def shortest_paths_from(network: SkywayNetwork, source: str,
@@ -222,13 +244,11 @@ def shortest_paths_from(network: SkywayNetwork, source: str,
     network.node(source)
     if targets is not None:
         targets = _distinct_nodes(network, "targets", targets)
-    pending = network.adjacency if targets is None else targets
-    prev: dict[str, str | None] = {}
-    dist = _settle(network.adjacency, source, set(pending), prev) if pending else {}
-    if len(dist) < len(pending):
-        raise DisconnectedNetwork(set(pending) - dist.keys())
-    return {node: Path(_walk(prev, node), dist[node])
-            for node in (dist if targets is None else targets)}
+    pending = network._links if targets is None else targets
+    paths = _settle(network._links, source, set(pending)) if pending else {}
+    if len(paths) < len(pending):
+        raise DisconnectedNetwork(set(pending) - paths.keys())
+    return paths if targets is None else {node: paths[node] for node in targets}
 
 
 def _distinct_nodes(network: SkywayNetwork, name: str, node_ids) -> list[str]:
@@ -252,20 +272,18 @@ def _nearest_stops(network: SkywayNetwork, source: str,
     path is the one ``shortest_paths_from`` returns. Raises
     DisconnectedNetwork when no stop is reachable.
     """
-    prev: dict[str, str | None] = {}
-    nearest = _settle(network.adjacency, source, stops, prev, nearest=True)
+    nearest = _settle(network._links, source, stops, nearest=True)
     if not nearest:
         raise DisconnectedNetwork(stops)
-    return {stop: Path(_walk(prev, stop), d) for stop, d in nearest.items()}
+    return nearest
 
 
-def _settle(adjacency: dict[str, tuple[tuple[str, float], ...]], source: str,
-            stops: Collection[str], prev: dict[str, str | None],
-            nearest: bool = False) -> dict[str, float]:
-    """Dijkstra from ``source`` until every one of ``stops`` is settled, or,
-    with ``nearest``, until the first distance popped past the first stop
-    settled. Returns the distances of the stops settled, in settling order,
-    and fills ``prev`` with predecessor links.
+def _settle(links: dict[str, list[tuple[str, float]]], source: str,
+            stops: Collection[str], nearest: bool = False) -> dict[str, Path]:
+    """Dijkstra from ``source`` over the search index ``links`` until every
+    one of ``stops`` is settled, or, with ``nearest``, until the first
+    distance popped past the first stop settled. Returns the paths of the
+    stops settled, in settling order.
 
     A settled node's distance and its walk along ``prev`` are final. Of the
     walks of equal length (bit for bit) each node gets the lexicographically
@@ -278,7 +296,7 @@ def _settle(adjacency: dict[str, tuple[tuple[str, float], ...]], source: str,
     """
     push, pop = heapq.heappush, heapq.heappop
     dist = {source: 0.0}
-    prev[source] = None
+    prev: dict[str, str | None] = {source: None}
     settled: set[str] = set()
     found: dict[str, float] = {}
     least = math.inf
@@ -307,7 +325,7 @@ def _settle(adjacency: dict[str, tuple[tuple[str, float], ...]], source: str,
             elif len(found) == len(stops):
                 break
         settled.add(node)
-        for neighbour, length in adjacency[node]:
+        for neighbour, length in links[node]:
             reach = d + length
             known = dist.get(neighbour)
             if known is None or reach < known:
@@ -317,7 +335,7 @@ def _settle(adjacency: dict[str, tuple[tuple[str, float], ...]], source: str,
             elif (reach == known and neighbour not in settled
                   and _walk(prev, node) + (neighbour,) < _walk(prev, neighbour)):
                 prev[neighbour] = node
-    return found
+    return {stop: Path(_walk(prev, stop), d) for stop, d in found.items()}
 
 
 def _walk(prev: dict[str, str | None], node: str) -> tuple[str, ...]:
@@ -327,6 +345,27 @@ def _walk(prev: dict[str, str | None], node: str) -> tuple[str, ...]:
         walk.append(node)
         node = prev[node]
     return tuple(reversed(walk))
+
+
+def _is_walk(network: SkywayNetwork, path, start: str) -> bool:
+    """Whether ``path`` walks the network from ``start`` with a total_length
+    equal to the left-to-right sum of its (shortest parallel) segments."""
+    links = network._links
+    try:
+        nodes, length = path
+        total, here = 0.0, links[start]
+        for node in nodes[1:]:
+            # The shortest segment that joins the two (``not d >= nan`` holds
+            # for every d), or NaN, which fails the walk, when none does.
+            step = math.nan
+            for neighbour, d in here:
+                if neighbour == node and not d >= step:
+                    step = d
+            total += step
+            here = links[node]
+        return nodes[0] == start and total == length
+    except (IndexError, KeyError, TypeError, ValueError):
+        return False
 
 
 def stop_matrix(network: SkywayNetwork, stops: Iterable[str]) -> dict[str, dict[str, Path]]:

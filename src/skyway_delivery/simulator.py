@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .errors import (BatteryDepleted, InconsistentAssignment, InvalidLevel, NegativePayload,
                      NonFiniteLength, ValidationError)
-from .graph import SkywayNetwork
+from .graph import SkywayNetwork, _is_walk
 from .planner import (DroneConfig, HangingAssignment, MissionPlan, Package, _compared_plans,
                       _judge, assign_levels, left_to_right_sum, level_violation,
                       package_faults, plan_total_distance)
@@ -439,8 +439,9 @@ def _flown(runs: Sequence[TelemetryRecord | _Move]) -> float:
     return left_to_right_sum(run.flown for run in runs if type(run) is _Move)
 
 
-def _check_consistency(plan: MissionPlan, assignment: HangingAssignment,
-                       packages: Sequence[Package], rig: StringRig) -> None:
+def _check_consistency(network: SkywayNetwork, plan: MissionPlan,
+                       assignment: HangingAssignment, packages: Sequence[Package],
+                       rig: StringRig) -> None:
     package_ids: set[str] = set()
     for i, package in enumerate(packages):
         faults = package_faults(i, package.id, None, None, (), package_ids)
@@ -458,6 +459,14 @@ def _check_consistency(plan: MissionPlan, assignment: HangingAssignment,
     violation = level_violation(len(order), rig.level_count)
     if violation is not None:
         raise InvalidLevel(violation)
+    at = network.node(plan.source).id  # the legs chain from the source back to it
+    for i, leg in enumerate(plan.legs):
+        if not _is_walk(network, leg.path, at):
+            raise ValidationError([f"plan.legs[{i}].path: expected a walk of the network's "
+                                   f"segments from {at!r} whose total_length is their sum"])
+        at = leg.path.nodes[-1]
+    if at != plan.source:
+        raise ValidationError([f"plan.legs[{i}].path: expected to end at {plan.source!r}"])
 
 
 def _judge_mission(network: SkywayNetwork, rig: StringRig, drone: DroneConfig,
@@ -486,7 +495,8 @@ def simulate_mission(network: SkywayNetwork, plan: MissionPlan,
     for the release dwell, and let it go. The final leg lands back at the
     source. A dead battery cuts the flight short with an ABORT record.
     ``assignment`` must equal ``assign_levels(plan)``. An argument of the
-    wrong type raises ValidationError.
+    wrong type raises ValidationError, as does a plan whose legs do not walk
+    the network from the source back to it (see ``graph._is_walk``).
     """
     _judge_mission(network, rig, drone, packages,
                    [_type_violation("plan", plan, MissionPlan),
@@ -496,7 +506,7 @@ def simulate_mission(network: SkywayNetwork, plan: MissionPlan,
         raise ValueError(f"telemetry_step must be a number > 0 (got {telemetry_step!r})")
     if dwell is None or not 0 <= dwell < math.inf:
         raise ValueError(f"release_dwell must be a finite number >= 0 (got {release_dwell!r})")
-    _check_consistency(plan, assignment, packages, rig)
+    _check_consistency(network, plan, assignment, packages, rig)
     mass_of = {p.id: p.mass for p in packages}
     order = plan.release_order
 

@@ -82,6 +82,8 @@ def test_disconnected_network_names_unreachable_nodes():
 def test_single_node_network_is_connected():
     network = build_network([("only", 0.0, 0.0, 3.0)], [])
     assert shortest_path(network, "only", "only").total_length == 0.0
+    with pytest.raises(ValueError, match="a network needs at least one node"):
+        build_network([], [])
 
 
 def test_unknown_node_on_query(n1_network):

@@ -181,6 +181,25 @@ _N1_PLAN = sd.plan_ndf(_N1, "S", helpers.N1_PACKAGES)
      "report.releases: expected a tuple, got int\n"
      "report.energy: expected an EnergyBreakdown, got NoneType"),
     (lambda: sd.serialize_report(sd.MissionReport(
+        True, (), 0.0, sd.EnergyBreakdown((), 0.0), 5)),
+     "report.end_position: expected a tuple, got int"),
+    (lambda: sd.serialize_report(sd.MissionReport(
+        True, (), 0.0, sd.EnergyBreakdown(5, 0.0), (0, 0, 0))),
+     "report.energy.legs: expected a tuple, got int"),
+    (lambda: sd.serialize_report(sd.MissionReport(
+        True, (), 0.0, sd.EnergyBreakdown((5,), 0.0), (0, 0, 0))),
+     "report.energy.legs[0]: expected a LegEnergy, got int"),
+    # A network judges its fields, also when it is rebuilt with replace.
+    (lambda: dataclasses.replace(_N1, segments=(*_N1.segments, sd.Segment("A", "C", -100.0))),
+     "segments[4].length: must be > 0 (got -100.0)"),
+    (lambda: dataclasses.replace(_N1, segments=(5,)),
+     "segments[0]: expected an (a, b, length) row"),
+    (lambda: dataclasses.replace(_N1, segments=(("A", "ghost", 1.0),)),
+     "segments[0].b: unknown node 'ghost'"),
+    (lambda: dataclasses.replace(_N1, nodes=5), "nodes: expected a dict, got int"),
+    (lambda: dataclasses.replace(_N1, nodes={**_N1.nodes, "A": _N1.node("B")}),
+     "nodes['A']: expected the Node of id 'A'"),
+    (lambda: sd.serialize_report(sd.MissionReport(
         True, (("p1", "A", "t"),), 0.0,
         sd.EnergyBreakdown((sd.LegEnergy(0.0, 0.0, None, 0.0),), 0.0), (0, 0))),
      "report.releases[0][2]: expected a number, got str\n"
@@ -211,3 +230,5 @@ def test_output_only_results_are_named_tuples():
     assert {name for name in sd.__all__ if dataclasses.is_dataclass(getattr(sd, name))} == {
         "Node", "SkywayNetwork", "Package", "DroneConfig", "StringRig", "Scenario",
         "StrategyOutcome", "CompareResult"}
+    # A network is its nodes and segments; the search index is derived from them.
+    assert [f.name for f in dataclasses.fields(sd.SkywayNetwork)] == ["nodes", "segments"]

@@ -7,7 +7,7 @@ import math
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import helpers
@@ -33,6 +33,7 @@ from skyway_delivery.errors import (
     SkywayError,
     ValidationError,
 )
+from skyway_delivery.simulator import _csv_chunks
 
 MINIMAL = """
 {
@@ -479,8 +480,12 @@ _EVENTS = st.text(st.one_of(st.sampled_from(',"\n '),
 
 @given(st.lists(st.builds(TelemetryRecord, *[_RECORD_VALUES] * 6,
                           event=st.just("") | _EVENTS), max_size=12))
+# More than 2 * 4096 records, so that the export yields several full pieces.
+@example([TelemetryRecord(i / 8, i, -i, 0.5, 0.0, 1.0, "E,1" if i % 3 else "")
+          for i in range(9000)])
 def test_export_telemetry_matches_csv_writer(log):
     assert export_telemetry(log) == helpers.csv_writer_export(log)
+    assert all(piece.count("\n") < 8192 for piece in _csv_chunks(TelemetryLog(log)))
 
 
 def test_telemetry_record_is_a_read_only_tuple():

@@ -550,6 +550,43 @@ def test_a_package_released_twice_is_inconsistent(n1_network, n1_packages):
                          StringRig(), n1_packages)
 
 
+_OFF_THE_NETWORK = "expected a walk of the network's segments from {!r} whose total_length is their sum"
+
+
+@pytest.mark.parametrize("leg, path, text", [
+    # Leg 2 starts where leg 1 did not end: the drone would fly from A to B.
+    (1, Path(("C", "B"), 80.623), "plan.legs[1].path: " + _OFF_THE_NETWORK.format("A")),
+    # S-C is not a segment.
+    (0, Path(("S", "C"), 1.0), "plan.legs[0].path: " + _OFF_THE_NETWORK.format("S")),
+    # S-A is a segment of 50 m, and the length must be its bits.
+    (0, Path(("S", "A"), math.nextafter(50.0, 0.0)),
+     "plan.legs[0].path: " + _OFF_THE_NETWORK.format("S")),
+    # The flight would end at C, not at the source.
+    (3, Path(("C",), 0.0), "plan.legs[3].path: expected to end at 'S'"),
+])
+def test_a_plan_must_walk_the_network_from_the_source_back(n1_network, n1_packages,
+                                                          leg, path, text):
+    plan = plan_ndf(n1_network, "S", n1_packages)
+    legs = list(plan.legs)
+    legs[leg] = legs[leg]._replace(path=path)
+    plan = plan._replace(legs=tuple(legs))
+    with pytest.raises(ValidationError) as excinfo:
+        simulate_mission(n1_network, plan, assign_levels(plan), DroneConfig(), StringRig(),
+                         n1_packages)
+    assert str(excinfo.value) == text
+
+
+def test_a_plan_over_parallel_segments_flies_the_shorter(n1_packages):
+    """A network built by hand may join a pair twice; its plans fly the shorter segment."""
+    two = build_network([("S", 0.0, 0.0, 0.0), ("A", 10.0, 0.0, 0.0)], [("S", "A")])
+    network = dataclasses.replace(two, segments=(("A", "S", 12.0), *two.segments))
+    plan = plan_ndf(network, "S", n1_packages[:1])
+    assert [leg.path.total_length for leg in plan.legs] == [10.0, 10.0]
+    _, report = simulate_mission(network, plan, assign_levels(plan), DroneConfig(), StringRig(),
+                                 n1_packages[:1])
+    assert report.completed
+
+
 def test_a_repeated_package_id_is_rejected(n1_network, n1_packages):
     plan = plan_ndf(n1_network, "S", n1_packages)
     packages = [*n1_packages, Package("p1", 100.0, "A")]
