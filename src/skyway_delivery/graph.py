@@ -68,10 +68,10 @@ class Path(NamedTuple):
 
 @dataclass(frozen=True)
 class SkywayNetwork:
-    """Immutable undirected graph: ``nodes`` maps each id to its Node, and
-    ``segments`` holds (a, b, length) rows of two ids and a finite number > 0.
-    Anything else raises ValidationError, also through ``replace``, which
-    derives the search index again."""
+    """Immutable connected undirected graph: ``nodes`` maps each id to its
+    Node, ``segments`` holds (a, b, length) rows of two ids and a finite
+    number > 0. Anything else raises ValidationError, and a node the first
+    one cannot reach DisconnectedNetwork, also through ``replace``."""
 
     nodes: dict[str, Node]
     segments: tuple[Segment, ...]
@@ -102,6 +102,15 @@ class SkywayNetwork:
                 if not (isinstance(node_id, str) and node_id in links):
                     raise ValidationError([f"{name}.{end}: unknown node {node_id!r}"])
             raise ValidationError([positive(f"{name}.length", length)])
+        reached = {next(iter(links))} if links else set()
+        frontier = list(reached)
+        while frontier:
+            for neighbour, _ in links[frontier.pop()]:
+                if neighbour not in reached:
+                    reached.add(neighbour)
+                    frontier.append(neighbour)
+        if len(reached) != len(links):
+            raise DisconnectedNetwork(links.keys() - reached)
         object.__setattr__(self, "_links", links)
 
     def node(self, node_id: str) -> Node:
@@ -193,11 +202,9 @@ def build_network(node_specs: Iterable[Node | tuple],
 
 
 def _assemble(nodes: dict[str, Node], pairs: Iterable[tuple[str, str]]) -> SkywayNetwork:
-    """The connected network of checked input: ``nodes`` maps each id to its
-    Node, ``pairs`` holds each segment's endpoints, two distinct known ids,
-    no pair twice. Raises ZeroLengthSegment, NonFiniteLength or
-    DisconnectedNetwork.
-    """
+    """The network of checked input: ``nodes`` maps each id to its Node,
+    ``pairs`` holds each segment's endpoints, two distinct known ids, no
+    pair twice. Raises ZeroLengthSegment, NonFiniteLength or DisconnectedNetwork."""
     rows: list[Segment] = []
     hypot, inf, row = math.hypot, math.inf, tuple.__new__
     for a, b in pairs:
@@ -212,19 +219,7 @@ def _assemble(nodes: dict[str, Node], pairs: Iterable[tuple[str, str]]) -> Skywa
         # tuple.__new__ builds the row without Segment's Python-level __new__.
         rows.append(row(Segment, (a, b, length) if a < b else (b, a, length)))
     rows.sort()  # endpoint pairs are unique, so a length never decides the order
-    network = SkywayNetwork(nodes, tuple(rows))
-    links = network._links
-    first = next(iter(nodes))
-    reached = {first}
-    frontier = [first]
-    while frontier:
-        for neighbour, _ in links[frontier.pop()]:
-            if neighbour not in reached:
-                reached.add(neighbour)
-                frontier.append(neighbour)
-    if len(reached) != len(nodes):
-        raise DisconnectedNetwork(set(nodes) - reached)
-    return network
+    return SkywayNetwork(nodes, tuple(rows))
 
 
 def shortest_paths_from(network: SkywayNetwork, source: str,
@@ -236,9 +231,8 @@ def shortest_paths_from(network: SkywayNetwork, source: str,
     sequence is lexicographically smallest (see ``_settle``). With
     ``targets`` the search ends once each target is settled and returns
     exactly the targets' paths. Raises UnknownNode for an unknown source or
-    target, and DisconnectedNetwork naming the targets (without ``targets``,
-    the nodes) that no path reaches, and ValidationError for a ``network``
-    that is not a SkywayNetwork or ``targets`` that are not iterable.
+    target, and ValidationError for a ``network`` that is not a SkywayNetwork
+    or ``targets`` that are not iterable.
     """
     _require("network", network, SkywayNetwork)
     network.node(source)
@@ -246,8 +240,6 @@ def shortest_paths_from(network: SkywayNetwork, source: str,
         targets = _distinct_nodes(network, "targets", targets)
     pending = network._links if targets is None else targets
     paths = _settle(network._links, source, set(pending)) if pending else {}
-    if len(paths) < len(pending):
-        raise DisconnectedNetwork(set(pending) - paths.keys())
     return paths if targets is None else {node: paths[node] for node in targets}
 
 
@@ -262,20 +254,11 @@ def _distinct_nodes(network: SkywayNetwork, name: str, node_ids) -> list[str]:
     return list(dict.fromkeys(node_ids))
 
 
-def _nearest_stops(network: SkywayNetwork, source: str,
-                   stops: Collection[str]) -> dict[str, Path]:
+def _nearest_stops(network: SkywayNetwork, source: str, stops: Collection[str]) -> dict[str, Path]:
     """The shortest paths from ``source`` to the stops nearest to it: every
-    one of ``stops`` (known node ids) at the least distance.
-
-    The search ends at the first distance popped past the first stop it
-    settles, so the whole batch at that stop's distance is settled, and each
-    path is the one ``shortest_paths_from`` returns. Raises
-    DisconnectedNetwork when no stop is reachable.
-    """
-    nearest = _settle(network._links, source, stops, nearest=True)
-    if not nearest:
-        raise DisconnectedNetwork(stops)
-    return nearest
+    one of ``stops`` (known node ids) at the least distance, each the path
+    ``shortest_paths_from`` returns (see ``_settle``)."""
+    return _settle(network._links, source, stops, nearest=True)
 
 
 def _settle(links: dict[str, list[tuple[str, float]]], source: str,
@@ -372,9 +355,7 @@ def stop_matrix(network: SkywayNetwork, stops: Iterable[str]) -> dict[str, dict[
     """Shortest paths between every pair of ``stops``: ``matrix[a][b]`` runs a to b.
 
     One Dijkstra per distinct stop, first stop first, each ending once every
-    stop is settled. Raises DisconnectedNetwork naming the stops that no
-    path from the first stop reaches, and UnknownNode or ValidationError as
-    ``shortest_paths_from`` does.
+    stop is settled. Raises what ``shortest_paths_from`` does.
     """
     _require("network", network, SkywayNetwork)
     distinct = _distinct_nodes(network, "stops", stops)

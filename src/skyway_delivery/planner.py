@@ -18,7 +18,7 @@ from .errors import (
     ValidationError,
 )
 from .rules import (_require, _type_violation, as_number, check_fields, finite, integer,
-                    non_empty, non_negative, positive)
+                    non_empty, non_negative, numeric, positive)
 from .graph import Path, SkywayNetwork, _nearest_stops, shortest_path, stop_matrix
 
 # The largest manifest the Held–Karp planner takes. Each package more
@@ -241,9 +241,7 @@ def _compared_plans(network: SkywayNetwork, source: str, packages: Sequence[Pack
     off one stop matrix.
 
     NDF's bounded searches settle the same nodes in the same order as the
-    matrix's full ones, so the nearest-first order over the matrix is its
-    plan. A disconnected network raises the DisconnectedNetwork that
-    ``plan_ndf`` does, but only after TooManyPackagesForExhaustive.
+    matrix's full ones, so the nearest-first order over the matrix is its plan.
     """
     ordered, paths, dist = _stop_paths(network, source, packages, drone, level_count)
     return (_plan_over(source, ordered, paths, _nearest_first(dist), "ndf"),
@@ -465,15 +463,30 @@ def _bits_float(bits: int) -> float:
     return struct.unpack("<d", struct.pack("<q", bits))[0]
 
 
+def _require_plan(plan) -> None:
+    """Raise ValidationError unless ``plan`` is a MissionPlan of a tuple of
+    Legs, each with a Path of a numeric total_length and a release of None or a non-empty str."""
+    _require("plan", plan, MissionPlan)
+    _require("plan.legs", plan.legs, tuple)
+    for i, leg in enumerate(plan.legs):
+        name = f"plan.legs[{i}]"
+        _require(name, leg, Leg)
+        _require(f"{name}.path", leg.path, Path)
+        violation = (numeric(f"{name}.path.total_length", leg.path.total_length)
+                     or leg.release is not None and non_empty(f"{name}.release", leg.release))
+        if violation:
+            raise ValidationError([violation])
+
+
 def assign_levels(plan: MissionPlan) -> HangingAssignment:
     """Hang the i-th released package at level i, so releases run bottom to top."""
-    _require("plan", plan, MissionPlan)
+    _require_plan(plan)
     level_of = {pid: i for i, pid in enumerate(plan.release_order, start=1)}
     return HangingAssignment(level_of=level_of, level_count=len(level_of))
 
 
 def plan_total_distance(plan: MissionPlan) -> float:
-    _require("plan", plan, MissionPlan)
+    _require_plan(plan)
     return left_to_right_sum(leg.path.total_length for leg in plan.legs)
 
 

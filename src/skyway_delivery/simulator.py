@@ -23,7 +23,7 @@ from .errors import (BatteryDepleted, InconsistentAssignment, InvalidLevel, Nega
                      NonFiniteLength, ValidationError)
 from .graph import SkywayNetwork, _is_walk
 from .planner import (DroneConfig, HangingAssignment, MissionPlan, Package, _compared_plans,
-                      _judge, assign_levels, left_to_right_sum, level_violation,
+                      _judge, _require_plan, assign_levels, left_to_right_sum, level_violation,
                       package_faults, plan_total_distance)
 from .rules import _require, _type_violation, as_number, check_fields, finite, integer, positive
 
@@ -444,29 +444,32 @@ def _check_consistency(network: SkywayNetwork, plan: MissionPlan,
                        rig: StringRig) -> None:
     package_ids: set[str] = set()
     for i, package in enumerate(packages):
-        faults = package_faults(i, package.id, None, None, (), package_ids)
+        faults = package_faults(i, package.id, package.destination, plan.source,
+                                network.nodes, package_ids)
         if faults:
             raise faults[0]
-    order = plan.release_order
-    for i, package_id in enumerate(order):
-        if package_id in order[:i]:
-            raise InconsistentAssignment(f"package {package_id!r} is released twice")
-        if package_id not in package_ids:
-            raise InconsistentAssignment(f"released package {package_id!r} has no mass entry")
-    if assignment != assign_levels(plan):
-        raise InconsistentAssignment(
-            "assignment must hang the i-th released package at level i")
-    violation = level_violation(len(order), rig.level_count)
-    if violation is not None:
-        raise InvalidLevel(violation)
-    at = network.node(plan.source).id  # the legs chain from the source back to it
-    for i, leg in enumerate(plan.legs):
-        if not _is_walk(network, leg.path, at):
+    if not plan.legs or plan.legs[-1].release is not None:
+        raise ValidationError(["plan.legs: expected a last leg that releases nothing"])
+    unreleased = {p.id: p.destination for p in packages}
+    at = network.node(plan.source).id
+    for i, (path, release) in enumerate(plan.legs):
+        if release is None and i < len(plan.legs) - 1:
+            raise ValidationError([f"plan.legs[{i}]: only the last leg releases nothing"])
+        if release is not None and release not in unreleased:
+            raise InconsistentAssignment(f"package {release!r} is released twice"
+                                         if release in package_ids else
+                                         f"released package {release!r} has no mass entry")
+        if not _is_walk(network, path, at):
             raise ValidationError([f"plan.legs[{i}].path: expected a walk of the network's "
                                    f"segments from {at!r} whose total_length is their sum"])
-        at = leg.path.nodes[-1]
-    if at != plan.source:
-        raise ValidationError([f"plan.legs[{i}].path: expected to end at {plan.source!r}"])
+        at, goal = path.nodes[-1], unreleased.pop(release, plan.source)
+        if at != goal:
+            raise ValidationError([f"plan.legs[{i}].path: expected to end at {goal!r}"])
+    if assignment != assign_levels(plan):
+        raise InconsistentAssignment("assignment must hang the i-th released package at level i")
+    violation = level_violation(len(plan.release_order), rig.level_count)
+    if violation is not None:
+        raise InvalidLevel(violation)
 
 
 def _judge_mission(network: SkywayNetwork, rig: StringRig, drone: DroneConfig,
@@ -496,11 +499,13 @@ def simulate_mission(network: SkywayNetwork, plan: MissionPlan,
     source. A dead battery cuts the flight short with an ABORT record.
     ``assignment`` must equal ``assign_levels(plan)``. An argument of the
     wrong type raises ValidationError, as does a plan whose legs do not walk
-    the network from the source back to it (see ``graph._is_walk``).
+    the network (see ``graph._is_walk``) each to the destination of the
+    package it releases, and the last, which releases nothing, to the source.
     """
     _judge_mission(network, rig, drone, packages,
                    [_type_violation("plan", plan, MissionPlan),
                     _type_violation("assignment", assignment, HangingAssignment)])
+    _require_plan(plan)
     step, dwell = as_number(telemetry_step), as_number(release_dwell)
     if step is None or not step > 0:
         raise ValueError(f"telemetry_step must be a number > 0 (got {telemetry_step!r})")

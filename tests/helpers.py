@@ -26,7 +26,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 from hypothesis import strategies as st
 
@@ -34,7 +34,6 @@ from skyway_delivery import (
     CompareResult,
     Leg,
     MissionPlan,
-    Node,
     Package,
     Path,
     SkywayNetwork,
@@ -88,13 +87,6 @@ def build_n1() -> SkywayNetwork:
 
 def build_n2() -> SkywayNetwork:
     return build_network(N2_NODE_SPECS, N2_SEGMENT_SPECS)
-
-
-def disconnected_n1() -> SkywayNetwork:
-    """n1 plus a node Q that no segment reaches, which ``build_network``
-    refuses to build but ``replace`` does not."""
-    network = build_n1()
-    return replace(network, nodes={**network.nodes, "Q": Node("Q", 500.0, 500.0)})
 
 
 def collinear_network(xs) -> SkywayNetwork:

@@ -22,7 +22,7 @@ from skyway_delivery import (
     simulate_mission,
 )
 from skyway_delivery import cli, graph
-from skyway_delivery.errors import DisconnectedNetwork, TooManyPackagesForExhaustive
+from skyway_delivery.errors import TooManyPackagesForExhaustive
 from skyway_delivery.cli import cli_main, compare_strategies
 from skyway_delivery.planner import PLANNERS
 
@@ -373,18 +373,6 @@ def test_compare_searches_once_from_each_distinct_stop(monkeypatch, seed):
     sources = counting_settle(monkeypatch)
     compare_strategies(scenario)
     assert sorted(sources) == sorted(stops)
-
-
-@pytest.mark.parametrize("destinations", [["Q"], ["A", "Q"], ["Q", "C"]])
-def test_compare_names_the_unreachable_destinations_as_ndf_does(destinations):
-    network = helpers.disconnected_n1()
-    packages = tuple(Package(f"p{i}", 1.0, d) for i, d in enumerate(destinations))
-    with pytest.raises(DisconnectedNetwork) as ndf:
-        plan_ndf(network, "S", packages)
-    with pytest.raises(DisconnectedNetwork) as compare:
-        compare_strategies(Scenario(network, "S", DroneConfig(), StringRig(), packages))
-    assert str(compare.value) == str(ndf.value) == (
-        "network is disconnected; unreachable nodes: Q")
 
 
 def test_compare_refuses_too_many_packages_before_it_searches(monkeypatch):

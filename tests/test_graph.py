@@ -11,6 +11,7 @@ from skyway_delivery import (
     Node,
     Path,
     Segment,
+    SkywayNetwork,
     build_network,
     shortest_path,
     shortest_paths_from,
@@ -284,23 +285,32 @@ def test_unknown_target_raises(n1_network):
         stop_matrix(n1_network, ["S", "ghost"])
 
 
-@pytest.mark.parametrize("search, unreachable", [
-    (lambda net: shortest_path(net, "S", "Q"), {"Q"}),
-    (lambda net: shortest_paths_from(net, "S", ["A", "Q", "C"]), {"Q"}),
-    (lambda net: shortest_paths_from(net, "S"), {"Q"}),
-    (lambda net: shortest_paths_from(net, "Q", ["Q", "B", "A"]), {"A", "B"}),
-    (lambda net: stop_matrix(net, ["S", "C", "Q"]), {"Q"}),
+def _without(network, *pairs):
+    """``network`` rebuilt with ``replace`` without the segments ``pairs``."""
+    return dataclasses.replace(network, segments=tuple(
+        row for row in network.segments if row[:2] not in pairs))
+
+
+@pytest.mark.parametrize("make, unreachable", [
+    # n1 plus a node Q that no segment joins.
+    (lambda n1: dataclasses.replace(n1, nodes={**n1.nodes, "Q": Node("Q", 500.0, 500.0)}),
+     {"Q"}),
+    (lambda n1: _without(n1, ("B", "C")), {"C"}),
+    (lambda n1: dataclasses.replace(n1, segments=()), {"A", "B", "C"}),
+    # The walk starts at the first node, S: A, B and C are joined to one
+    # another but not to it.
+    (lambda n1: _without(n1, ("A", "S"), ("B", "S")), {"A", "B", "C"}),
+    # A network of two components built by hand.
+    (lambda n1: SkywayNetwork(
+        {node_id: Node(node_id, x, 0.0) for node_id, x in zip("abcd", (0.0, 1.0, 5.0, 6.0))},
+        (Segment("a", "b", 1.0), Segment("c", "d", 1.0))), {"c", "d"}),
 ])
-def test_a_search_raises_for_an_unreachable_target(search, unreachable):
+def test_a_network_is_connected_however_it_is_made(n1_network, make, unreachable):
     with pytest.raises(DisconnectedNetwork) as excinfo:
-        search(helpers.disconnected_n1())
+        make(n1_network)
     assert excinfo.value.unreachable == unreachable
-
-
-def test_a_search_reaches_every_target_of_its_own_component():
-    network = helpers.disconnected_n1()
-    assert shortest_path(network, "S", "C") == Path(("S", "B", "C"), 150.0)
-    assert shortest_paths_from(network, "Q", ["Q"]) == {"Q": Path(("Q",), 0.0)}
+    # An empty network has nothing to reach; only build_network refuses it.
+    assert SkywayNetwork({}, ()).nodes == {}
 
 
 @given(st.one_of(helpers.generated_networks(), helpers.lattice_networks()), st.data())

@@ -27,7 +27,6 @@ from skyway_delivery import (
     simulate_mission,
 )
 from skyway_delivery.errors import (
-    DisconnectedNetwork,
     InfeasiblePayload,
     InvalidLevel,
     InvalidPackage,
@@ -423,15 +422,6 @@ def test_ndf_takes_the_smaller_id_of_stops_at_an_equal_distance():
     assert [leg.path for leg in plan.legs] == [
         Path(("S", "B"), 1.0), Path(("B", "S", "A"), 2.0), Path(("A", "S"), 1.0)]
     assert plan == helpers.matrix_ndf_plan(network, "S", packages)
-
-
-@pytest.mark.parametrize("planner", [plan_ndf, plan_optimal])
-@pytest.mark.parametrize("destinations", [["Q"], ["A", "Q"], ["Q", "C"]])
-def test_planners_raise_for_an_unreachable_destination(planner, destinations):
-    packages = [Package(f"p{i}", 1.0, d) for i, d in enumerate(destinations)]
-    with pytest.raises(DisconnectedNetwork) as excinfo:
-        planner(helpers.disconnected_n1(), "S", packages)
-    assert excinfo.value.unreachable == {"Q"}
 
 
 @pytest.mark.parametrize("call, violations", [

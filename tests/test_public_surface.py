@@ -157,6 +157,19 @@ _N1_PLAN = sd.plan_ndf(_N1, "S", helpers.N1_PACKAGES)
     (lambda: sd.simulate_mission(_N1, _N1_PLAN, tuple(sd.assign_levels(_N1_PLAN)),
                                  sd.DroneConfig(), sd.StringRig(), helpers.N1_PACKAGES),
      "assignment: expected a HangingAssignment, got tuple"),
+    # A plan's legs are judged before its releases are read.
+    (lambda: sd.simulate_mission(_N1, _N1_PLAN._replace(legs=5), sd.HangingAssignment({}, 0),
+                                 sd.DroneConfig(), sd.StringRig(), helpers.N1_PACKAGES),
+     "plan.legs: expected a tuple, got int"),
+    (lambda: sd.assign_levels(_N1_PLAN._replace(legs=[*_N1_PLAN.legs])),
+     "plan.legs: expected a tuple, got list"),
+    (lambda: sd.assign_levels(_N1_PLAN._replace(legs=(5,))), "plan.legs[0]: expected a Leg, got int"),
+    (lambda: sd.plan_total_distance(_N1_PLAN._replace(legs=(sd.Leg(("S",)),))),
+     "plan.legs[0].path: expected a Path, got tuple"),
+    (lambda: sd.plan_total_distance(_N1_PLAN._replace(legs=(sd.Leg(sd.Path(("S",), "0")),))),
+     "plan.legs[0].path.total_length: expected a number, got str"),
+    (lambda: sd.assign_levels(_N1_PLAN._replace(legs=(sd.Leg(sd.Path(("S",), 0.0), ["p1"]),))),
+     "plan.legs[0].release: expected a non-empty string"),
     (lambda: sd.StringRig().hang("1"), "level: expected an int, got str"),
     (lambda: sd.StringRig().hang(2.0), "level: expected an int, got float"),
     (lambda: sd.serialize_report(5), "report: expected a MissionReport, got int"),

@@ -35,7 +35,7 @@ from skyway_delivery import (
 )
 from skyway_delivery.errors import (BatteryDepleted, InconsistentAssignment, InvalidLevel,
                                     InvalidPackage, NonFiniteLength, SkywayError,
-                                    ValidationError)
+                                    UnknownDestination, ValidationError)
 from skyway_delivery import simulator
 from skyway_delivery.planner import left_to_right_sum
 from skyway_delivery.simulator import _BOUNDARY_EPS, _Flight, _grid_count
@@ -553,23 +553,35 @@ def test_a_package_released_twice_is_inconsistent(n1_network, n1_packages):
 _OFF_THE_NETWORK = "expected a walk of the network's segments from {!r} whose total_length is their sum"
 
 
-@pytest.mark.parametrize("leg, path, text", [
+def _flying(leg, path):
+    """A change to a plan's legs: leg ``leg`` flies ``path``."""
+    return lambda legs: (*legs[:leg], legs[leg]._replace(path=path), *legs[leg + 1:])
+
+
+@pytest.mark.parametrize("change, text", [
     # Leg 2 starts where leg 1 did not end: the drone would fly from A to B.
-    (1, Path(("C", "B"), 80.623), "plan.legs[1].path: " + _OFF_THE_NETWORK.format("A")),
+    (_flying(1, Path(("C", "B"), 80.623)), "plan.legs[1].path: " + _OFF_THE_NETWORK.format("A")),
     # S-C is not a segment.
-    (0, Path(("S", "C"), 1.0), "plan.legs[0].path: " + _OFF_THE_NETWORK.format("S")),
+    (_flying(0, Path(("S", "C"), 1.0)), "plan.legs[0].path: " + _OFF_THE_NETWORK.format("S")),
     # S-A is a segment of 50 m, and the length must be its bits.
-    (0, Path(("S", "A"), math.nextafter(50.0, 0.0)),
+    (_flying(0, Path(("S", "A"), math.nextafter(50.0, 0.0))),
      "plan.legs[0].path: " + _OFF_THE_NETWORK.format("S")),
     # The flight would end at C, not at the source.
-    (3, Path(("C",), 0.0), "plan.legs[3].path: expected to end at 'S'"),
+    (_flying(3, Path(("C",), 0.0)), "plan.legs[3].path: expected to end at 'S'"),
+    # The releases of legs 0 and 1 swapped: p2 would drop at A, not at its B.
+    (lambda legs: (legs[0]._replace(release="p2"), legs[1]._replace(release="p1"), *legs[2:]),
+     "plan.legs[0].path: expected to end at 'B'"),
+    # A leading leg that releases nothing would land at once with every package.
+    (lambda legs: (Leg(Path(("S",), 0.0)), *legs),
+     "plan.legs[0]: only the last leg releases nothing"),
+    # Without its return leg the flight would end over C.
+    (lambda legs: legs[:-1], "plan.legs: expected a last leg that releases nothing"),
+    (lambda legs: (), "plan.legs: expected a last leg that releases nothing"),
 ])
 def test_a_plan_must_walk_the_network_from_the_source_back(n1_network, n1_packages,
-                                                          leg, path, text):
+                                                          change, text):
     plan = plan_ndf(n1_network, "S", n1_packages)
-    legs = list(plan.legs)
-    legs[leg] = legs[leg]._replace(path=path)
-    plan = plan._replace(legs=tuple(legs))
+    plan = plan._replace(legs=change(plan.legs))
     with pytest.raises(ValidationError) as excinfo:
         simulate_mission(n1_network, plan, assign_levels(plan), DroneConfig(), StringRig(),
                          n1_packages)
@@ -594,6 +606,20 @@ def test_a_repeated_package_id_is_rejected(n1_network, n1_packages):
         simulate_mission(n1_network, plan, assign_levels(plan), DroneConfig(),
                          StringRig(), packages)
     assert str(excinfo.value) == "packages[3].id: duplicate package id 'p1'"
+
+
+@pytest.mark.parametrize("package, text", [
+    (Package("h", 1.0, "S"), "packages[3].destination: must differ from the source"),
+    (Package("h", 1.0, "ghost"), "packages[3].destination: unknown node 'ghost'"),
+])
+def test_a_package_is_judged_as_the_planners_judge_it(n1_network, n1_packages, package, text):
+    """A package for the source is refused, so only the last leg, which
+    releases nothing, ends at the source."""
+    plan = plan_ndf(n1_network, "S", n1_packages)
+    with pytest.raises((InvalidPackage, UnknownDestination)) as excinfo:
+        simulate_mission(n1_network, plan, assign_levels(plan), DroneConfig(),
+                         StringRig(), [*n1_packages, package])
+    assert str(excinfo.value) == text
 
 
 @pytest.mark.parametrize("argument, value, violation", [
