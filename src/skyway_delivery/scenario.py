@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii as _json_string
 
 from .errors import InvalidParams, ScenarioSyntaxError, SkywayError, ValidationError
 from .graph import Node, SkywayNetwork, _assemble, build_network, node_faults, segment_faults
-from .planner import DroneConfig, Package, level_violation, package_faults
+from .planner import DroneConfig, Package, _checked, level_violation, package_faults
 from .rules import (_require, _type_violation, as_number, field_violations, integer, non_empty,
                     numeric)
 from .simulator import EnergyBreakdown, LegEnergy, MissionReport, StringRig, _judge_mission
@@ -29,7 +29,9 @@ _segment_pair = itemgetter("a", "b")
 @dataclass(frozen=True)
 class Scenario:
     """One mission's inputs. A field of the wrong type raises
-    ValidationError, also through ``dataclasses.replace``."""
+    ValidationError, also through ``dataclasses.replace``; an unknown source,
+    a package fault or too few rig levels raises the planners' error. The
+    payload is not judged, so an overweight scenario builds."""
 
     network: SkywayNetwork
     source: str
@@ -42,6 +44,7 @@ class Scenario:
         _judge_mission(self.network, self.rig, self.drone, self.packages, [
             _type_violation("source", self.source, str),
             None if self.label is None else _type_violation("label", self.label, str)])
+        _checked(self.network, self.source, self.packages, None, self.rig.level_count)
 
 
 # Each constructor argument's name and default. The type and value rules

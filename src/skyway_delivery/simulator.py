@@ -22,9 +22,9 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 from .errors import (BatteryDepleted, InconsistentAssignment, InvalidLevel, NegativePayload,
                      NonFiniteLength, ValidationError)
 from .graph import SkywayNetwork, _is_walk
-from .planner import (DroneConfig, HangingAssignment, MissionPlan, Package, _compared_plans,
-                      _judge, _require_plan, assign_levels, left_to_right_sum, level_violation,
-                      package_faults, plan_total_distance)
+from .planner import (DroneConfig, HangingAssignment, MissionPlan, Package, _checked,
+                      _compared_plans, _judge, _require_plan, assign_levels, left_to_right_sum,
+                      plan_total_distance)
 from .rules import _require, _type_violation, as_number, check_fields, finite, integer, positive
 
 if TYPE_CHECKING:
@@ -440,14 +440,9 @@ def _flown(runs: Sequence[TelemetryRecord | _Move]) -> float:
 
 
 def _check_consistency(network: SkywayNetwork, plan: MissionPlan,
-                       assignment: HangingAssignment, packages: Sequence[Package],
-                       rig: StringRig) -> None:
-    package_ids: set[str] = set()
-    for i, package in enumerate(packages):
-        faults = package_faults(i, package.id, package.destination, plan.source,
-                                network.nodes, package_ids)
-        if faults:
-            raise faults[0]
+                       assignment: HangingAssignment, packages: Sequence[Package]) -> None:
+    """Raise unless ``plan`` walks the network releasing each package once at
+    its destination, and ``assignment`` hangs them in release order."""
     if not plan.legs or plan.legs[-1].release is not None:
         raise ValidationError(["plan.legs: expected a last leg that releases nothing"])
     unreleased = {p.id: p.destination for p in packages}
@@ -457,7 +452,7 @@ def _check_consistency(network: SkywayNetwork, plan: MissionPlan,
             raise ValidationError([f"plan.legs[{i}]: only the last leg releases nothing"])
         if release is not None and release not in unreleased:
             raise InconsistentAssignment(f"package {release!r} is released twice"
-                                         if release in package_ids else
+                                         if any(p.id == release for p in packages) else
                                          f"released package {release!r} has no mass entry")
         if not _is_walk(network, path, at):
             raise ValidationError([f"plan.legs[{i}].path: expected a walk of the network's "
@@ -465,11 +460,10 @@ def _check_consistency(network: SkywayNetwork, plan: MissionPlan,
         at, goal = path.nodes[-1], unreleased.pop(release, plan.source)
         if at != goal:
             raise ValidationError([f"plan.legs[{i}].path: expected to end at {goal!r}"])
+    if unreleased:
+        raise InconsistentAssignment(f"package {min(unreleased)!r} is never released")
     if assignment != assign_levels(plan):
         raise InconsistentAssignment("assignment must hang the i-th released package at level i")
-    violation = level_violation(len(plan.release_order), rig.level_count)
-    if violation is not None:
-        raise InvalidLevel(violation)
 
 
 def _judge_mission(network: SkywayNetwork, rig: StringRig, drone: DroneConfig,
@@ -497,11 +491,12 @@ def simulate_mission(network: SkywayNetwork, plan: MissionPlan,
     delivery legs descend until the hanging package touches the rooftop, pause
     for the release dwell, and let it go. The final leg lands back at the
     source. A dead battery cuts the flight short with an ABORT record.
-    ``assignment`` must equal ``assign_levels(plan)``. An argument of the
+    The packages raise what the planners raise, payload and rig levels
+    included; the plan must release each once, and ``assignment`` must equal
+    ``assign_levels(plan)``, else InconsistentAssignment. An argument of the
     wrong type raises ValidationError, as does a plan whose legs do not walk
     the network (see ``graph._is_walk``) each to the destination of the
-    package it releases, and the last, which releases nothing, to the source.
-    """
+    package it releases, and the last, which releases nothing, to the source."""
     _judge_mission(network, rig, drone, packages,
                    [_type_violation("plan", plan, MissionPlan),
                     _type_violation("assignment", assignment, HangingAssignment)])
@@ -511,7 +506,8 @@ def simulate_mission(network: SkywayNetwork, plan: MissionPlan,
         raise ValueError(f"telemetry_step must be a number > 0 (got {telemetry_step!r})")
     if dwell is None or not 0 <= dwell < math.inf:
         raise ValueError(f"release_dwell must be a finite number >= 0 (got {release_dwell!r})")
-    _check_consistency(network, plan, assignment, packages, rig)
+    _checked(network, plan.source, packages, drone, rig.level_count)
+    _check_consistency(network, plan, assignment, packages)
     mass_of = {p.id: p.mass for p in packages}
     order = plan.release_order
 

@@ -28,7 +28,6 @@ from skyway_delivery import (
 )
 from skyway_delivery.errors import (
     InfeasiblePayload,
-    InvalidLevel,
     InvalidPackage,
     TooManyPackagesForExhaustive,
     UnknownDestination,
@@ -74,7 +73,7 @@ def test_level_rule_reads_the_same_in_planner_parser_and_simulator(
         parse_scenario(json.dumps(doc))
     assert parsed.value.violations == ("packages: " + text,)
     plan = plan_ndf(n1_network, "S", n1_packages)
-    with pytest.raises(InvalidLevel) as flown:
+    with pytest.raises(InfeasiblePayload) as flown:
         simulate_mission(n1_network, plan, assign_levels(plan), DroneConfig(),
                          StringRig(levels=(2.0, 1.0)), n1_packages)
     assert str(flown.value) == text

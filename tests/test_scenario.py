@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -28,9 +29,13 @@ from skyway_delivery import (
     serialize_scenario,
 )
 from skyway_delivery.errors import (
+    InfeasiblePayload,
+    InvalidPackage,
     InvalidParams,
     ScenarioSyntaxError,
     SkywayError,
+    UnknownDestination,
+    UnknownNode,
     ValidationError,
 )
 from skyway_delivery.simulator import _csv_chunks
@@ -305,9 +310,11 @@ def odd_scenarios(draw):
     # Node i sits at x = i, so positions are distinct and a path joins them.
     nodes = [Node(node_id, i, draw(coordinate), draw(height)) for i, node_id in enumerate(ids)]
     network = build_network(nodes, list(zip(ids, ids[1:])))
-    package_ids = draw(st.lists(_ODD_IDS, max_size=3, unique=True))
+    # Each package goes to a node other than the source, so a one-node
+    # network gets none.
+    package_ids = draw(st.lists(_ODD_IDS, max_size=3 if len(ids) > 1 else 0, unique=True))
     packages = tuple(Package(package_id, draw(st.one_of(st.integers(1, 9), st.floats(0.01, 9.0))),
-                             draw(st.sampled_from(ids)))
+                             draw(st.sampled_from(ids[1:])))
                      for package_id in package_ids)
     drone = DroneConfig(max_payload=draw(st.one_of(st.integers(1, 50), st.floats(0.5, 50.0))))
     return Scenario(network=network, source=ids[0], drone=drone, rig=StringRig(),
@@ -317,6 +324,47 @@ def odd_scenarios(draw):
 @given(odd_scenarios())
 def test_serialize_scenario_matches_json_dumps(scenario):
     assert serialize_scenario(scenario) == helpers.json_dumps_scenario(scenario)
+    assert parse_scenario(serialize_scenario(scenario)) == scenario
+
+
+def _document_value(value):
+    """A Scenario field's value as its scenario document writes it."""
+    if isinstance(value, tuple):
+        return [dataclasses.asdict(item) for item in value]
+    return dataclasses.asdict(value) if dataclasses.is_dataclass(value) else value
+
+
+@pytest.mark.parametrize("changes, error, text", [
+    ({"packages": (*helpers.N1_PACKAGES, Package("h", 1.0, "S"))}, InvalidPackage,
+     "package 'h': packages[3].destination: must differ from the source"),
+    ({"packages": (*helpers.N1_PACKAGES, Package("g", 1.0, "ghost"))}, UnknownDestination,
+     "package 'g': packages[3].destination: unknown node 'ghost'"),
+    ({"packages": (*helpers.N1_PACKAGES, Package("p1", 1.0, "A"))}, InvalidPackage,
+     "package 'p1': packages[3].id: duplicate package id 'p1'"),
+    ({"source": "nowhere"}, UnknownNode, "unknown node 'nowhere'"),
+    ({"rig": StringRig((2.0, 1.0))}, InfeasiblePayload,
+     "3 packages exceed the rig's 2 hanging levels"),
+])
+def test_a_scenario_refuses_what_the_parser_refuses(scenario_dir, changes, error, text):
+    """A Scenario made in Python, here through ``replace``, refuses each
+    manifest the parser refuses, with the planners' error and text."""
+    n1 = parse_scenario((scenario_dir / "n1.json").read_text())
+    doc = json.loads(serialize_scenario(n1))
+    doc.update({key: _document_value(value) for key, value in changes.items()})
+    with pytest.raises(ValidationError):
+        parse_scenario(json.dumps(doc))
+    with pytest.raises(error) as excinfo:
+        dataclasses.replace(n1, **changes)
+    assert str(excinfo.value) == text
+
+
+def test_an_overweight_scenario_builds_and_round_trips(scenario_dir):
+    """The payload is left to the planners and the flight: 30 kg on a
+    15.9 kg drone builds, parses and serializes."""
+    n1 = parse_scenario((scenario_dir / "n1.json").read_text())
+    heavy = dataclasses.replace(n1, packages=tuple(
+        dataclasses.replace(package, mass=10.0) for package in n1.packages))
+    assert parse_scenario(serialize_scenario(heavy)) == heavy
 
 
 def test_generation_is_deterministic():

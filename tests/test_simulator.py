@@ -33,9 +33,10 @@ from skyway_delivery import (
     plan_ndf,
     simulate_mission,
 )
-from skyway_delivery.errors import (BatteryDepleted, InconsistentAssignment, InvalidLevel,
-                                    InvalidPackage, NonFiniteLength, SkywayError,
-                                    UnknownDestination, ValidationError)
+from skyway_delivery.errors import (BatteryDepleted, InconsistentAssignment,
+                                    InfeasiblePayload, InvalidLevel, InvalidPackage,
+                                    NonFiniteLength, SkywayError, UnknownDestination,
+                                    ValidationError)
 from skyway_delivery import simulator
 from skyway_delivery.planner import left_to_right_sum
 from skyway_delivery.simulator import _BOUNDARY_EPS, _Flight, _grid_count
@@ -120,7 +121,7 @@ def test_cruise_altitude_unloaded_uses_clearance_only():
 
 def test_release_altitude():
     """Each package is released at its rooftop plus the hang of its level, and a
-    rig with fewer levels than packages raises InvalidLevel."""
+    rig with fewer levels than packages raises InfeasiblePayload."""
     log, report = fly_n1()
     assert report.completed
     released = {record.event: record.z for record in log if record.event.startswith("RELEASE(")}
@@ -129,9 +130,10 @@ def test_release_altitude():
     network = helpers.build_n1()
     packages = list(helpers.N1_PACKAGES)
     plan = plan_ndf(network, "S", packages)
-    with pytest.raises(InvalidLevel):
+    with pytest.raises(InfeasiblePayload) as excinfo:
         simulate_mission(network, plan, assign_levels(plan), DroneConfig(),
                          StringRig(levels=(3.0, 2.0)), packages)
+    assert str(excinfo.value) == "3 packages exceed the rig's 2 hanging levels"
 
 
 @pytest.mark.parametrize("packages, rig, cruise, release", [
@@ -305,15 +307,36 @@ def test_every_release_needs_a_mass(n1_network, n1_packages):
                          StringRig(), n1_packages[:2])
 
 
+def test_every_package_must_be_released(n1_network, n1_packages):
+    """A flight that carries a package its plan never releases is refused,
+    not flown with the package left out of its payload."""
+    plan = plan_ndf(n1_network, "S", n1_packages[:2])
+    with pytest.raises(InconsistentAssignment) as excinfo:
+        simulate_mission(n1_network, plan, assign_levels(plan), DroneConfig(),
+                         StringRig(), n1_packages)
+    assert str(excinfo.value) == "package 'p3' is never released"
+
+
+def test_an_overweight_flight_is_refused(n1_network, n1_packages):
+    """The flight judges the payload as the planners do: three 10 kg
+    packages on a 15.9 kg drone."""
+    plan = plan_ndf(n1_network, "S", n1_packages)
+    heavy = [dataclasses.replace(package, mass=10.0) for package in n1_packages]
+    with pytest.raises(InfeasiblePayload) as excinfo:
+        simulate_mission(n1_network, plan, assign_levels(plan), DroneConfig(), StringRig(), heavy)
+    assert str(excinfo.value) == "payload 30.0 kg exceeds capacity 15.9 kg"
+
+
 def test_more_packages_than_rig_levels():
     specs = [("S", 0.0, 0.0, 0.0)] + [
         (nid, float(10 * i), 0.0, 0.0) for i, nid in enumerate("ABCD", start=1)]
     network = build_network(specs, [("S", nid) for nid in "ABCD"])
     packages = [Package(f"p{i}", 0.5, nid) for i, nid in enumerate("ABCD", start=1)]
     plan = plan_ndf(network, "S", packages)
-    with pytest.raises(InvalidLevel):
+    with pytest.raises(InfeasiblePayload) as excinfo:
         simulate_mission(network, plan, assign_levels(plan), DroneConfig(),
                          StringRig(), packages)
+    assert str(excinfo.value) == "4 packages exceed the rig's 3 hanging levels"
 
 
 def test_two_drops_on_one_rooftop_descend_between_levels():
@@ -605,12 +628,12 @@ def test_a_repeated_package_id_is_rejected(n1_network, n1_packages):
     with pytest.raises(InvalidPackage) as excinfo:
         simulate_mission(n1_network, plan, assign_levels(plan), DroneConfig(),
                          StringRig(), packages)
-    assert str(excinfo.value) == "packages[3].id: duplicate package id 'p1'"
+    assert str(excinfo.value) == "package 'p1': packages[3].id: duplicate package id 'p1'"
 
 
 @pytest.mark.parametrize("package, text", [
-    (Package("h", 1.0, "S"), "packages[3].destination: must differ from the source"),
-    (Package("h", 1.0, "ghost"), "packages[3].destination: unknown node 'ghost'"),
+    (Package("h", 1.0, "S"), "package 'h': packages[3].destination: must differ from the source"),
+    (Package("h", 1.0, "ghost"), "package 'h': packages[3].destination: unknown node 'ghost'"),
 ])
 def test_a_package_is_judged_as_the_planners_judge_it(n1_network, n1_packages, package, text):
     """A package for the source is refused, so only the last leg, which
