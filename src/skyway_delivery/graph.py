@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
     ZeroLengthSegment,
 )
-from .rules import _require, check_fields, finite, non_empty, non_negative, positive
+from .rules import _require, as_number, check_fields, finite, non_empty, non_negative
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,39 +69,63 @@ class Path(NamedTuple):
 @dataclass(frozen=True)
 class SkywayNetwork:
     """Immutable connected undirected graph: ``nodes`` maps each id to its
-    Node, ``segments`` holds (a, b, length) rows of two ids and a finite
-    number > 0. Anything else raises ValidationError, and a node the first
-    one cannot reach DisconnectedNetwork, also through ``replace``."""
+    Node, ``segments`` holds a Segment per joined pair, sorted, with a < b
+    and the distance between the two positions as its length.
+
+    Built, also through ``replace``, from any iterable of (a, b) pairs or
+    (a, b, length) rows. The first row at fault raises: ValidationError for
+    a row of the wrong shape or an empty end, the fault ``segment_faults``
+    finds, ZeroLengthSegment or NonFiniteLength, or ValidationError for a
+    length other than the measured one. Then a node the first one cannot
+    reach raises DisconnectedNetwork."""
 
     nodes: dict[str, Node]
     segments: tuple[Segment, ...]
 
     def __post_init__(self):
-        _require("nodes", self.nodes, dict)
+        nodes = self.nodes
+        _require("nodes", nodes, dict)
         links: dict[str, list[tuple[str, float]]] = {}
-        for key, node in self.nodes.items():
+        for key, node in nodes.items():
             if not (isinstance(node, Node) and node.id == key):
                 raise ValidationError([f"nodes[{key!r}]: expected the Node of id {key!r}"])
             links[key] = []
-        _require("segments", self.segments, abc.Sequence)
-        for i, row in enumerate(self.segments):
-            try:
-                a, b, length = row
-                # A float length is judged inline; the rule judges any other.
-                if type(length) is float and 0.0 < length < math.inf or (
-                        positive("length", length) is None):
-                    links[a].append((b, length))
-                    links[b].append((a, length))
-                    continue
-            except (KeyError, TypeError, ValueError):
-                pass
-            name = f"segments[{i}]"
-            if not isinstance(row, (tuple, list)) or len(row) != 3:
-                raise ValidationError([f"{name}: expected an (a, b, length) row"])
-            for end, node_id in zip("ab", row):
-                if not (isinstance(node_id, str) and node_id in links):
-                    raise ValidationError([f"{name}.{end}: unknown node {node_id!r}"])
-            raise ValidationError([positive(f"{name}.length", length)])
+        _require("segments", self.segments, abc.Iterable)
+        rows: list[Segment] = []
+        seen_pairs: set[tuple[str, str]] = set()
+        hypot, inf, row = math.hypot, math.inf, tuple.__new__
+        for i, spec in enumerate(self.segments):
+            size = len(spec) if isinstance(spec, (tuple, list)) else 0
+            if size == 2:
+                a, b = spec
+            elif size == 3:
+                a, b, given = spec
+            else:
+                raise ValidationError(
+                    [f"segments[{i}]: expected an (a, b) pair or an (a, b, length) row"])
+            if not (isinstance(a, str) and a and isinstance(b, str) and b):
+                raise ValidationError(v for v in (non_empty(f"segments[{i}].a", a),
+                                                  non_empty(f"segments[{i}].b", b)) if v)
+            faults = segment_faults(i, a, b, links, seen_pairs)
+            if faults:
+                raise faults[0]
+            node_a, node_b = nodes[a], nodes[b]
+            # Equal to math.dist of the two positions bit for bit: both take the
+            # norm of the same two differences.
+            length = hypot(node_a.x - node_b.x, node_a.y - node_b.y)
+            if length == 0.0:
+                raise ZeroLengthSegment(f"segment {a!r}-{b!r} joins coincident positions")
+            if length == inf:
+                raise NonFiniteLength(f"segment {a!r}-{b!r} is too long: its length overflows")
+            if size == 3 and as_number(given) != length:
+                raise ValidationError([f"segments[{i}].length: must be {length!r}, the "
+                                       f"distance between its ends (got {given!r})"])
+            # tuple.__new__ builds the row without Segment's Python-level __new__.
+            rows.append(row(Segment, (a, b, length) if a < b else (b, a, length)))
+        rows.sort()  # endpoint pairs are unique, so a length never decides the order
+        for a, b, length in rows:
+            links[a].append((b, length))
+            links[b].append((a, length))
         reached = {next(iter(links))} if links else set()
         frontier = list(reached)
         while frontier:
@@ -111,6 +135,7 @@ class SkywayNetwork:
                     frontier.append(neighbour)
         if len(reached) != len(links):
             raise DisconnectedNetwork(links.keys() - reached)
+        object.__setattr__(self, "segments", tuple(rows))
         object.__setattr__(self, "_links", links)
 
     def node(self, node_id: str) -> Node:
@@ -153,17 +178,16 @@ def segment_faults(index: int, a: str, b: str, known_ids,
 
 
 def build_network(node_specs: Iterable[Node | tuple],
-                  segment_specs: Iterable[tuple[str, str]]) -> SkywayNetwork:
-    """Validate node/segment specs and assemble a connected network.
+                  segment_specs: Iterable[tuple]) -> SkywayNetwork:
+    """The network of ``node_specs``, Node objects or (id, x, y[,
+    rooftop_height]) tuples, and ``segment_specs``, which go to the
+    ``SkywayNetwork`` constructor unchanged.
 
-    ``node_specs`` holds Node objects or (id, x, y[, rooftop_height]) tuples,
-    ``segment_specs`` (a, b) endpoint pairs. Raises the first fault it finds,
-    behind a ``nodes[i]`` or ``segments[i]`` locator: a ValidationError for a
-    spec of the wrong shape or a field that breaks its rule, or the fault
-    ``node_faults`` or ``segment_faults`` finds (DuplicateNodeId,
-    UnknownEndpoint, SelfLoopSegment or DuplicateSegment); then
-    ZeroLengthSegment, NonFiniteLength or DisconnectedNetwork as appropriate.
-    Either argument that is not iterable raises ValidationError first.
+    Either argument that is not iterable raises ValidationError first; then
+    a node spec of the wrong shape or with a field that breaks its rule
+    ValidationError, a repeated id DuplicateNodeId, each behind its
+    ``nodes[i]`` locator, and no node at all ValueError; then what the
+    constructor raises.
     """
     _require("node_specs", node_specs, abc.Iterable)
     _require("segment_specs", segment_specs, abc.Iterable)
@@ -183,43 +207,7 @@ def build_network(node_specs: Iterable[Node | tuple],
         nodes[spec.id] = spec
     if not nodes:
         raise ValueError("a network needs at least one node")
-
-    pairs: list[tuple[str, str]] = []
-    seen_pairs: set[tuple[str, str]] = set()
-    for i, spec in enumerate(segment_specs):
-        if not isinstance(spec, (tuple, list)) or len(spec) != 2:
-            raise ValidationError([f"segments[{i}]: expected an (a, b) pair"])
-        a, b = spec
-        violations = [v for v in (non_empty(f"segments[{i}].a", a),
-                                  non_empty(f"segments[{i}].b", b)) if v]
-        if violations:
-            raise ValidationError(violations)
-        faults = segment_faults(i, a, b, nodes, seen_pairs)
-        if faults:
-            raise faults[0]
-        pairs.append((a, b))
-    return _assemble(nodes, pairs)
-
-
-def _assemble(nodes: dict[str, Node], pairs: Iterable[tuple[str, str]]) -> SkywayNetwork:
-    """The network of checked input: ``nodes`` maps each id to its Node,
-    ``pairs`` holds each segment's endpoints, two distinct known ids, no
-    pair twice. Raises ZeroLengthSegment, NonFiniteLength or DisconnectedNetwork."""
-    rows: list[Segment] = []
-    hypot, inf, row = math.hypot, math.inf, tuple.__new__
-    for a, b in pairs:
-        node_a, node_b = nodes[a], nodes[b]
-        # Equal to math.dist of the two positions bit for bit: both take the
-        # norm of the same two differences.
-        length = hypot(node_a.x - node_b.x, node_a.y - node_b.y)
-        if length == 0.0:
-            raise ZeroLengthSegment(f"segment {a!r}-{b!r} joins coincident positions")
-        if length == inf:
-            raise NonFiniteLength(f"segment {a!r}-{b!r} is too long: its length overflows")
-        # tuple.__new__ builds the row without Segment's Python-level __new__.
-        rows.append(row(Segment, (a, b, length) if a < b else (b, a, length)))
-    rows.sort()  # endpoint pairs are unique, so a length never decides the order
-    return SkywayNetwork(nodes, tuple(rows))
+    return SkywayNetwork(nodes, segment_specs)
 
 
 def shortest_paths_from(network: SkywayNetwork, source: str,
@@ -332,19 +320,13 @@ def _walk(prev: dict[str, str | None], node: str) -> tuple[str, ...]:
 
 def _is_walk(network: SkywayNetwork, path, start: str) -> bool:
     """Whether ``path`` walks the network from ``start`` with a total_length
-    equal to the left-to-right sum of its (shortest parallel) segments."""
+    equal to the left-to-right sum of its segments."""
     links = network._links
     try:
         nodes, length = path
         total, here = 0.0, links[start]
         for node in nodes[1:]:
-            # The shortest segment that joins the two (``not d >= nan`` holds
-            # for every d), or NaN, which fails the walk, when none does.
-            step = math.nan
-            for neighbour, d in here:
-                if neighbour == node and not d >= step:
-                    step = d
-            total += step
+            total += dict(here)[node]
             here = links[node]
         return nodes[0] == start and total == length
     except (IndexError, KeyError, TypeError, ValueError):

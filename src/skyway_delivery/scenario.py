@@ -10,12 +10,11 @@ from __future__ import annotations
 import json
 import math
 import random
-from operator import itemgetter
 from dataclasses import MISSING, asdict, dataclass, fields
 from json.encoder import encode_basestring_ascii as _json_string
 
 from .errors import InvalidParams, ScenarioSyntaxError, SkywayError, ValidationError
-from .graph import Node, SkywayNetwork, _assemble, build_network, node_faults, segment_faults
+from .graph import Node, SkywayNetwork, build_network, node_faults, segment_faults
 from .planner import DroneConfig, Package, _checked, level_violation, package_faults
 from .rules import (_require, _type_violation, as_number, field_violations, integer, non_empty,
                     numeric)
@@ -23,7 +22,6 @@ from .simulator import EnergyBreakdown, LegEnergy, MissionReport, StringRig, _ju
 
 _TOP_KEYS = {"label", "source", "nodes", "segments", "drone", "rig", "packages"}
 _SEGMENT_KEYS = {"a", "b"}
-_segment_pair = itemgetter("a", "b")
 
 
 @dataclass(frozen=True)
@@ -133,6 +131,19 @@ def _ends(raw, index: int, problems: list[str]) -> tuple[str | None, str | None]
     return _take(raw, "a", locator, problems), _take(raw, "b", locator, problems)
 
 
+def _segment_problems(raw_segments: list, nodes: dict) -> list[str]:
+    """Every fault of the document's segments, item by item: the faults of
+    its shape (see ``_ends``) or, for an item with two ends, the ones
+    ``segment_faults`` finds given the ids in ``nodes``."""
+    problems: list[str] = []
+    seen_pairs: set[tuple[str, str]] = set()
+    for i, raw in enumerate(raw_segments):
+        a, b = _ends(raw, i, problems)
+        if a is not None and b is not None:
+            problems.extend(map(str, segment_faults(i, a, b, nodes, seen_pairs)))
+    return problems
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse and fully validate a scenario JSON document.
 
@@ -143,9 +154,10 @@ def parse_scenario(text: str) -> Scenario:
     and missing keys. Each field's type and value rules are the ones the
     constructors and ``build_network`` apply, collected for every item.
     A valid item costs one constructor call (a segment, one shape check)
-    and one fault check; the full violation list is collected only for an
-    item that fails them. A document that passes every check goes straight
-    to ``build_network``'s assembly step.
+    and one fault check; a segment's fault check is the ``SkywayNetwork``
+    constructor's. The full violation list is collected only for an item
+    that fails them, and every segment's faults only when some item fails
+    or the constructor raises.
     """
     if not isinstance(text, (str, bytes, bytearray)):
         raise ScenarioSyntaxError(
@@ -188,17 +200,15 @@ def parse_scenario(text: str) -> Scenario:
             nodes[node_id] = node
 
     # -- segments ------------------------------------------------------------
-    seen_pairs: set[tuple[str, str]] = set()
     raw_segments = doc.get("segments", [])
     if not isinstance(raw_segments, list):
         problems.append("segments: expected a list")
         raw_segments = []
-    for i, raw in enumerate(raw_segments):
-        a, b = _ends(raw, i, problems)
-        if a is not None and b is not None:
-            faults = segment_faults(i, a, b, nodes, seen_pairs)
-            if faults:
-                problems.extend(map(str, faults))
+    # The shape faults of the segments fill problems[segments_at:segments_end];
+    # a failed parse replaces them with every segment's faults.
+    segments_at = len(problems)
+    pairs = [_ends(raw, i, problems) for i, raw in enumerate(raw_segments)]
+    segments_end = len(problems)
 
     # -- drone and rig -------------------------------------------------------
     drone, _ = _build(DroneConfig, _block(doc, "drone", problems), problems, "drone")
@@ -225,15 +235,21 @@ def parse_scenario(text: str) -> Scenario:
         if violation is not None:
             problems.append(f"packages: {violation}")
 
-    if problems:
-        raise ValidationError(problems)
-    try:
-        # Without problems every segment is an object with two known ends.
-        network = _assemble(nodes, map(_segment_pair, raw_segments))
-    except SkywayError as exc:
+    network = fault = None
+    if not problems:
+        try:
+            # Without problems every node builds and every segment is an
+            # object with two non-empty ends.
+            network = SkywayNetwork(nodes, pairs)
+        except SkywayError as exc:
+            fault = exc
+    if network is None:
+        problems[segments_at:segments_end] = _segment_problems(raw_segments, nodes)
+        if problems:
+            raise ValidationError(problems) from fault
         # Whole-network faults without a single field to point at, e.g.
         # a disconnected graph or coincident node positions.
-        raise ValidationError([f"network: {exc}"]) from exc
+        raise ValidationError([f"network: {fault}"]) from fault
     assert source is not None and drone is not None and rig is not None
     return Scenario(network=network, source=source, drone=drone, rig=rig,
                     packages=tuple(packages), label=label)

@@ -8,11 +8,17 @@ from hypothesis import given, strategies as st
 
 import helpers
 from skyway_delivery import (
+    DroneConfig,
     Node,
+    Package,
     Path,
+    Scenario,
     Segment,
     SkywayNetwork,
+    StringRig,
     build_network,
+    parse_scenario,
+    serialize_scenario,
     shortest_path,
     shortest_paths_from,
     stop_matrix,
@@ -204,12 +210,13 @@ def test_build_network_accepts_node_objects():
 
 
 TWO_NODES = [("S", 0.0, 0.0, 0.0), ("A", 1.0, 0.0, 0.0)]
-PAIR = "expected an (a, b) pair"
+PAIR = "expected an (a, b) pair or an (a, b, length) row"
 NODE_SPEC = "expected a Node or an (id, x, y[, rooftop_height]) tuple"
 
 
 @pytest.mark.parametrize("node_specs, segment_specs, violations", [
-    (TWO_NODES, [("S", "A", "B")], [f"segments[0]: {PAIR}"]),
+    (TWO_NODES, [("S", "A", "B")],
+     ["segments[0].length: must be 1.0, the distance between its ends (got 'B')"]),
     (TWO_NODES, [("S",)], [f"segments[0]: {PAIR}"]),
     (TWO_NODES, [None], [f"segments[0]: {PAIR}"]),
     (TWO_NODES, ["SA"], [f"segments[0]: {PAIR}"]),
@@ -311,6 +318,74 @@ def test_a_network_is_connected_however_it_is_made(n1_network, make, unreachable
     assert excinfo.value.unreachable == unreachable
     # An empty network has nothing to reach; only build_network refuses it.
     assert SkywayNetwork({}, ()).nodes == {}
+
+
+# A(0, 0), B(3, 4) and C(6, 8) lie on one line, 5 m apart.
+LINE = {node_id: Node(node_id, 3.0 * i, 4.0 * i) for i, node_id in enumerate("ABC")}
+
+
+def _round_trip(network):
+    """A scenario over ``network`` from A, serialized and parsed back."""
+    scenario = Scenario(network, "A", DroneConfig(), StringRig(), (Package("p1", 1.0, "C"),))
+    assert parse_scenario(serialize_scenario(scenario)) == scenario
+
+
+@pytest.mark.parametrize("make", [
+    lambda segments: SkywayNetwork(LINE, segments),
+    lambda segments: dataclasses.replace(build_network(LINE.values(), [("A", "B"), ("B", "C")]),
+                                         segments=segments),
+], ids=["constructor", "replace"])
+@pytest.mark.parametrize("segments, error, text", [
+    # Lengths the drone does not fly: the plan would total 4 m, the flight 28 m.
+    ((("A", "B", 1.0), ("B", "C", 1.0)), ValidationError,
+     "segments[0].length: must be 5.0, the distance between its ends (got 1.0)"),
+    ((("A", "B"), ("B", "C", 5.0), ("A", "C", math.nan)), ValidationError,
+     "segments[2].length: must be 10.0, the distance between its ends (got nan)"),
+    ((("A", "B", True), ("B", "C")), ValidationError,
+     "segments[0].length: must be 5.0, the distance between its ends (got True)"),
+    ((("A", "B"), ("A", "A"), ("B", "C")), SelfLoopSegment, "segments[1]: self-loop at 'A'"),
+    ((("A", "B"), ("B", "A", 5.0), ("B", "C")), DuplicateSegment,
+     "segments[1]: duplicate segment 'A'-'B'"),
+    ((("A", "B"), ("B", "ghost")), UnknownEndpoint, "segments[1].b: unknown node 'ghost'"),
+    ((("A", ""), ("B", "C")), ValidationError, "segments[0].b: expected a non-empty string"),
+    ((5,), ValidationError, f"segments[0]: {PAIR}"),
+    (("AB",), ValidationError, f"segments[0]: {PAIR}"),
+    ((("A", "B", 5.0, 5.0),), ValidationError, f"segments[0]: {PAIR}"),
+    (5, ValidationError, "segments: expected an Iterable, got int"),
+])
+def test_a_network_built_by_hand_refuses_a_bad_row(make, segments, error, text):
+    with pytest.raises(error) as excinfo:
+        make(segments)
+    assert str(excinfo.value) == text
+
+
+@pytest.mark.parametrize("segments", [
+    [("B", "A"), ("C", "B")],
+    (("C", "B", 5.0), ("B", "A", 5.0)),
+    (["A", "B", 5], ("B", "C", 5.0)),
+    iter([("B", "C"), ("A", "B", 5.0)]),
+], ids=["reversed-pairs", "reversed-unsorted-rows", "plain-rows", "iterator"])
+def test_a_network_built_by_hand_stores_sorted_measured_segments(segments):
+    network = SkywayNetwork(LINE, segments)
+    assert network.segments == (("A", "B", 5.0), ("B", "C", 5.0))
+    assert all(type(row) is Segment for row in network.segments)
+    assert network == build_network(LINE.values(), [("B", "A"), ("C", "B")])
+    assert dataclasses.replace(network) == network
+    _round_trip(network)
+
+
+@given(st.one_of(helpers.generated_networks(), helpers.lattice_networks()), st.data())
+def test_the_constructor_builds_what_build_network_and_the_parser_build(network, data):
+    pairs = data.draw(st.permutations([row[:2] for row in network.segments]))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    pairs = [pair[::-1] if flip else pair for pair, flip in zip(pairs, flips)]
+    rebuilt = SkywayNetwork(dict(network.nodes), pairs)
+    assert rebuilt == network == build_network(network.nodes.values(), pairs)
+    assert rebuilt._links == network._links
+    ids = sorted(network.nodes)
+    packages = tuple(Package(f"p{i}", 1.0, node_id) for i, node_id in enumerate(ids[1:4]))
+    scenario = Scenario(rebuilt, ids[0], DroneConfig(), StringRig(), packages)
+    assert parse_scenario(serialize_scenario(scenario)) == scenario
 
 
 @given(st.one_of(helpers.generated_networks(), helpers.lattice_networks()), st.data())

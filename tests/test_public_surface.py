@@ -204,9 +204,9 @@ _N1_PLAN = sd.plan_ndf(_N1, "S", helpers.N1_PACKAGES)
      "report.energy.legs[0]: expected a LegEnergy, got int"),
     # A network judges its fields, also when it is rebuilt with replace.
     (lambda: dataclasses.replace(_N1, segments=(*_N1.segments, sd.Segment("A", "C", -100.0))),
-     "segments[4].length: must be > 0 (got -100.0)"),
+     "segments[4].length: must be 100.0, the distance between its ends (got -100.0)"),
     (lambda: dataclasses.replace(_N1, segments=(5,)),
-     "segments[0]: expected an (a, b, length) row"),
+     "segments[0]: expected an (a, b) pair or an (a, b, length) row"),
     (lambda: dataclasses.replace(_N1, segments=(("A", "ghost", 1.0),)),
      "segments[0].b: unknown node 'ghost'"),
     (lambda: dataclasses.replace(_N1, nodes=5), "nodes: expected a dict, got int"),

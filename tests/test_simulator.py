@@ -33,7 +33,7 @@ from skyway_delivery import (
     plan_ndf,
     simulate_mission,
 )
-from skyway_delivery.errors import (BatteryDepleted, InconsistentAssignment,
+from skyway_delivery.errors import (BatteryDepleted, DuplicateSegment, InconsistentAssignment,
                                     InfeasiblePayload, InvalidLevel, InvalidPackage,
                                     NonFiniteLength, SkywayError, UnknownDestination,
                                     ValidationError)
@@ -611,15 +611,12 @@ def test_a_plan_must_walk_the_network_from_the_source_back(n1_network, n1_packag
     assert str(excinfo.value) == text
 
 
-def test_a_plan_over_parallel_segments_flies_the_shorter(n1_packages):
-    """A network built by hand may join a pair twice; its plans fly the shorter segment."""
+def test_a_network_built_by_hand_joins_a_pair_once():
+    """A pair given twice is refused, so no plan has parallel segments to choose from."""
     two = build_network([("S", 0.0, 0.0, 0.0), ("A", 10.0, 0.0, 0.0)], [("S", "A")])
-    network = dataclasses.replace(two, segments=(("A", "S", 12.0), *two.segments))
-    plan = plan_ndf(network, "S", n1_packages[:1])
-    assert [leg.path.total_length for leg in plan.legs] == [10.0, 10.0]
-    _, report = simulate_mission(network, plan, assign_levels(plan), DroneConfig(), StringRig(),
-                                 n1_packages[:1])
-    assert report.completed
+    with pytest.raises(DuplicateSegment) as excinfo:
+        dataclasses.replace(two, segments=(("A", "S"), *two.segments))
+    assert str(excinfo.value) == "segments[1]: duplicate segment 'A'-'S'"
 
 
 def test_a_repeated_package_id_is_rejected(n1_network, n1_packages):
