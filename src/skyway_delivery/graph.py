@@ -9,7 +9,8 @@ import heapq
 import math
 from collections import abc
 from dataclasses import dataclass
-from typing import Collection, Iterable, NamedTuple
+from types import MappingProxyType
+from typing import Collection, Iterable, Mapping, NamedTuple
 
 from .errors import (
     DisconnectedNetwork,
@@ -72,19 +73,21 @@ class SkywayNetwork:
     Node, ``segments`` holds a Segment per joined pair, sorted, with a < b
     and the distance between the two positions as its length.
 
-    Built, also through ``replace``, from any iterable of (a, b) pairs or
-    (a, b, length) rows. The first row at fault raises: ValidationError for
-    a row of the wrong shape or an empty end, the fault ``segment_faults``
-    finds, ZeroLengthSegment or NonFiniteLength, or ValidationError for a
-    length other than the measured one. Then a node the first one cannot
-    reach raises DisconnectedNetwork."""
+    Built, also through ``replace``, from any Mapping of nodes, which it
+    keeps as a read-only ``MappingProxyType`` over its own copy, and any
+    iterable of (a, b) pairs or (a, b, length) rows. The first row at fault
+    raises: ValidationError for a row of the wrong shape or an empty end,
+    the fault ``segment_faults`` finds, ZeroLengthSegment or
+    NonFiniteLength, or ValidationError for a length other than the
+    measured one. Then a node the first one cannot reach raises
+    DisconnectedNetwork."""
 
-    nodes: dict[str, Node]
+    nodes: Mapping[str, Node]
     segments: tuple[Segment, ...]
 
     def __post_init__(self):
-        nodes = self.nodes
-        _require("nodes", nodes, dict)
+        _require("nodes", self.nodes, abc.Mapping)
+        nodes = dict(self.nodes)
         links: dict[str, list[tuple[str, float]]] = {}
         for key, node in nodes.items():
             if not (isinstance(node, Node) and node.id == key):
@@ -135,8 +138,13 @@ class SkywayNetwork:
                     frontier.append(neighbour)
         if len(reached) != len(links):
             raise DisconnectedNetwork(links.keys() - reached)
+        object.__setattr__(self, "nodes", MappingProxyType(nodes))
         object.__setattr__(self, "segments", tuple(rows))
         object.__setattr__(self, "_links", links)
+
+    def __reduce__(self):
+        # A mappingproxy neither pickles nor deep-copies: rebuild from a dict.
+        return SkywayNetwork, (dict(self.nodes), self.segments)
 
     def node(self, node_id: str) -> Node:
         """The node ``node_id``; UnknownNode for any other value, an

@@ -180,9 +180,9 @@ def package_faults(index: int, package_id: str | None, destination: str | None,
 
 def _checked(network: SkywayNetwork, source: str, packages: Sequence[Package],
              drone: DroneConfig | None, level_count: int | None) -> list[Package]:
-    """The packages in id order, once they are fit to plan from ``source``;
-    else raise."""
-    _judge(drone, packages, level_count, [_type_violation("network", network, SkywayNetwork)])
+    """The packages in id order, once the source is a node, no package has
+    a fault and the payload and levels fit; else raise. The caller judges
+    the arguments' types first."""
     network.node(source)
     seen_ids: set[str] = set()
     for i, package in enumerate(packages):
@@ -208,6 +208,7 @@ def plan_ndf(network: SkywayNetwork, source: str, packages: Sequence[Package], *
     id, so a repeated destination is delivered next. The plan ends with a
     return leg to the source.
     """
+    _judge(drone, packages, level_count, [_type_violation("network", network, SkywayNetwork)])
     left = _checked(network, source, packages, drone, level_count)
     legs: list[Leg] = []
     at = source
@@ -230,6 +231,7 @@ def plan_optimal(network: SkywayNetwork, source: str, packages: Sequence[Package
     destination of the i-th package by id; equal-distance orders resolve to
     the lexicographically smallest package-id sequence.
     """
+    _judge(drone, packages, level_count, [_type_violation("network", network, SkywayNetwork)])
     ordered, paths, dist = _stop_paths(network, source, packages, drone, level_count)
     return _plan_over(source, ordered, paths, optimal_order(dist)[0], "exhaustive")
 
@@ -237,8 +239,8 @@ def plan_optimal(network: SkywayNetwork, source: str, packages: Sequence[Package
 def _compared_plans(network: SkywayNetwork, source: str, packages: Sequence[Package],
                     drone: DroneConfig | None,
                     level_count: int | None) -> tuple[MissionPlan, MissionPlan]:
-    """``plan_ndf`` and ``plan_optimal`` of the same arguments, both read
-    off one stop matrix.
+    """``plan_ndf`` and ``plan_optimal`` of the same arguments, judged by
+    the caller, both read off one stop matrix.
 
     NDF's bounded searches settle the same nodes in the same order as the
     matrix's full ones, so the nearest-first order over the matrix is its plan.

@@ -15,10 +15,15 @@ from json.encoder import encode_basestring_ascii as _json_string
 
 from .errors import InvalidParams, ScenarioSyntaxError, SkywayError, ValidationError
 from .graph import Node, SkywayNetwork, build_network, node_faults, segment_faults
-from .planner import DroneConfig, Package, _checked, level_violation, package_faults
+from .planner import DroneConfig, Package, _checked, _judge, level_violation, package_faults
 from .rules import (_require, _type_violation, as_number, field_violations, integer, non_empty,
                     numeric)
-from .simulator import EnergyBreakdown, LegEnergy, MissionReport, StringRig, _judge_mission
+from .simulator import EnergyBreakdown, LegEnergy, MissionReport, StringRig
+
+# The most nodes generate_scenario draws. On a shared 2-core VM (Python
+# 3.11), 100,000 nodes take 1.5-3 s and peak at about 170 MB RSS; 20,000
+# take 0.2-0.4 s and 47 MB. The benchmark's largest network has 5000 nodes.
+_NODE_CAP = 100_000
 
 _TOP_KEYS = {"label", "source", "nodes", "segments", "drone", "rig", "packages"}
 _SEGMENT_KEYS = {"a", "b"}
@@ -26,10 +31,13 @@ _SEGMENT_KEYS = {"a", "b"}
 
 @dataclass(frozen=True)
 class Scenario:
-    """One mission's inputs. A field of the wrong type raises
-    ValidationError, also through ``dataclasses.replace``; an unknown source,
-    a package fault or too few rig levels raises the planners' error. The
-    payload is not judged, so an overweight scenario builds."""
+    """One mission's inputs, judged once, when built (also through
+    ``dataclasses.replace``): a field of the wrong type raises
+    ValidationError; an unknown source, a package fault or too few rig levels
+    raises the planners' error. The payload is not judged, so an overweight
+    scenario builds. ``packages`` is stored as a tuple and the network's
+    nodes are read-only, so a scenario stays as it was judged, and
+    ``compare_strategies`` judges it no further."""
 
     network: SkywayNetwork
     source: str
@@ -39,9 +47,13 @@ class Scenario:
     label: str | None = None
 
     def __post_init__(self):
-        _judge_mission(self.network, self.rig, self.drone, self.packages, [
+        _judge(None, self.packages, None, [  # a scenario's drone may not be None
+            _type_violation("network", self.network, SkywayNetwork),
             _type_violation("source", self.source, str),
-            None if self.label is None else _type_violation("label", self.label, str)])
+            None if self.label is None else _type_violation("label", self.label, str),
+            _type_violation("rig", self.rig, StringRig),
+            _type_violation("drone", self.drone, DroneConfig)])
+        object.__setattr__(self, "packages", tuple(self.packages))
         _checked(self.network, self.source, self.packages, None, self.rig.level_count)
 
 
@@ -304,7 +316,8 @@ def generate_scenario(node_count: int, package_count: int, seed: int,
     extra segments add route choices. Destinations are distinct non-source
     nodes and package masses stay inside the drone's single-item band.
     Raises InvalidParams for a count or seed that is not an int, an area
-    that is not two positive finite numbers, and counts no area can hold.
+    that is not two positive finite numbers, more than ``_NODE_CAP`` nodes,
+    and counts no area can hold.
     """
     for name, value in (("node_count", node_count), ("package_count", package_count),
                         ("seed", seed)):
@@ -316,6 +329,8 @@ def generate_scenario(node_count: int, package_count: int, seed: int,
         raise InvalidParams(f"area must be a (width, height) pair of numbers, got {area!r}")
     if node_count < 2:
         raise InvalidParams(f"node_count must be >= 2, got {node_count}")
+    if node_count > _NODE_CAP:
+        raise InvalidParams(f"node_count must be <= {_NODE_CAP}, got {node_count}")
     if package_count < 0:
         raise InvalidParams(f"package_count must be >= 0, got {package_count}")
     if package_count > node_count - 1:

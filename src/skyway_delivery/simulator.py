@@ -466,19 +466,6 @@ def _check_consistency(network: SkywayNetwork, plan: MissionPlan,
         raise InconsistentAssignment("assignment must hang the i-th released package at level i")
 
 
-def _judge_mission(network: SkywayNetwork, rig: StringRig, drone: DroneConfig,
-                   packages: Sequence[Package], found: list[str | None]) -> None:
-    """Raise one ValidationError naming each of a mission's network, rig,
-    drone and packages that is of the wrong type, with ``found``, the
-    caller's violations for its other arguments (None for each one that is
-    fine), after the network's."""
-    found = [_type_violation("network", network, SkywayNetwork), *found,
-             _type_violation("rig", rig, StringRig)]
-    if drone is None:  # a plan may leave out the drone, a mission may not
-        found.append(_type_violation("drone", drone, DroneConfig))
-    _judge(drone, packages, None, found)
-
-
 def simulate_mission(network: SkywayNetwork, plan: MissionPlan,
                      assignment: HangingAssignment, drone: DroneConfig,
                      rig: StringRig, packages: Sequence[Package],
@@ -496,10 +483,13 @@ def simulate_mission(network: SkywayNetwork, plan: MissionPlan,
     ``assign_levels(plan)``, else InconsistentAssignment. An argument of the
     wrong type raises ValidationError, as does a plan whose legs do not walk
     the network (see ``graph._is_walk``) each to the destination of the
-    package it releases, and the last, which releases nothing, to the source."""
-    _judge_mission(network, rig, drone, packages,
-                   [_type_violation("plan", plan, MissionPlan),
-                    _type_violation("assignment", assignment, HangingAssignment)])
+    package it releases, and the last, which releases nothing, to the source.
+    All of this is judged once, before the flight, which judges nothing."""
+    _judge(None, packages, None, [  # a plan may leave out the drone, a mission may not
+        _type_violation("network", network, SkywayNetwork),
+        _type_violation("plan", plan, MissionPlan),
+        _type_violation("assignment", assignment, HangingAssignment),
+        _type_violation("rig", rig, StringRig), _type_violation("drone", drone, DroneConfig)])
     _require_plan(plan)
     step, dwell = as_number(telemetry_step), as_number(release_dwell)
     if step is None or not step > 0:
@@ -508,6 +498,12 @@ def simulate_mission(network: SkywayNetwork, plan: MissionPlan,
         raise ValueError(f"release_dwell must be a finite number >= 0 (got {release_dwell!r})")
     _checked(network, plan.source, packages, drone, rig.level_count)
     _check_consistency(network, plan, assignment, packages)
+    return _fly(network, plan, drone, rig, packages, dwell, step)
+
+
+def _fly(network: SkywayNetwork, plan: MissionPlan, drone: DroneConfig, rig: StringRig,
+         packages: Sequence[Package], dwell: float, step: float):
+    """``simulate_mission``'s (telemetry, report), of arguments it has judged."""
     mass_of = {p.id: p.mass for p in packages}
     order = plan.release_order
 
@@ -606,9 +602,9 @@ def compare_strategies(scenario: Scenario) -> CompareResult:
 
     The plans are ``plan_ndf``'s and ``plan_optimal``'s, both read off one
     stop matrix, and the errors are theirs: TooManyPackagesForExhaustive
-    comes before any search. The flights are for their reports only, so they
-    record no telemetry samples. A ``scenario`` that is not a Scenario
-    raises ValidationError.
+    comes before any search. The flights are ``simulate_mission``'s with no
+    telemetry samples. It judges only that ``scenario`` is a Scenario (else
+    ValidationError), which judged its fields when it was built.
     """
     from .scenario import Scenario  # scenario.py imports this module
 
@@ -616,9 +612,8 @@ def compare_strategies(scenario: Scenario) -> CompareResult:
     outcomes = []
     for plan in _compared_plans(scenario.network, scenario.source, scenario.packages,
                                 scenario.drone, scenario.rig.level_count):
-        _, report = simulate_mission(scenario.network, plan, assign_levels(plan),
-                                     scenario.drone, scenario.rig, scenario.packages,
-                                     telemetry_step=math.inf)
+        _, report = _fly(scenario.network, plan, scenario.drone, scenario.rig,
+                         scenario.packages, DEFAULT_RELEASE_DWELL, math.inf)
         outcomes.append(StrategyOutcome(
             label=plan.strategy_label,
             release_order=plan.release_order,

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import time
+import types
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,7 +22,7 @@ from skyway_delivery import (
     serialize_scenario,
     simulate_mission,
 )
-from skyway_delivery import cli, graph
+from skyway_delivery import cli, graph, scenario as scenario_module
 from skyway_delivery.errors import TooManyPackagesForExhaustive
 from skyway_delivery.cli import cli_main, compare_strategies
 from skyway_delivery.planner import PLANNERS
@@ -258,6 +259,19 @@ def test_gen_rejects_bad_params(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_gen_refuses_more_nodes_than_the_cap(capsys, tmp_path, monkeypatch):
+    def no_draw(seed):  # without the cap, a billion nodes would be drawn
+        raise AssertionError("gen drew before refusing its node count")
+
+    monkeypatch.setattr(scenario_module, "random", types.SimpleNamespace(Random=no_draw))
+    out_file = tmp_path / "x.json"
+    code, out, err = run_cli(capsys, "gen", "--nodes", "1000000000", "--packages", "0",
+                             "--seed", "0", "--out", str(out_file))
+    assert (code, out) == (2, "")
+    assert err == "error: node_count must be <= 100000, got 1000000000\n"
+    assert not out_file.exists()
+
+
 def test_gen_rejects_an_infinite_area(capsys, tmp_path):
     code, out, err = run_cli(capsys, "gen", "--nodes", "9", "--packages", "4",
                              "--seed", "77", "--area", "inf", "500",
@@ -347,7 +361,9 @@ def test_compare_equals_the_two_planners_run_on_their_own(network, data):
         destinations += data.draw(st.lists(st.sampled_from(destinations), max_size=2))
     packages = data.draw(st.permutations(
         [Package(f"p{i}", 1.0, d) for i, d in enumerate(destinations)]))
-    scenario = Scenario(network, source, DroneConfig(),
+    # Some batteries run out on the way, so aborted flights are compared too.
+    battery = data.draw(st.floats(1.0, 50_000.0), label="battery_capacity")
+    scenario = Scenario(network, source, DroneConfig(battery_capacity=battery),
                         StringRig(levels=(8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0)),
                         tuple(packages))
     assert compare_strategies(scenario) == helpers.reference_compare(scenario)

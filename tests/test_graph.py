@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -372,6 +374,35 @@ def test_a_network_built_by_hand_stores_sorted_measured_segments(segments):
     assert network == build_network(LINE.values(), [("B", "A"), ("C", "B")])
     assert dataclasses.replace(network) == network
     _round_trip(network)
+
+
+def test_the_nodes_of_a_network_cannot_be_replaced():
+    network = build_network(LINE.values(), [("A", "B"), ("B", "C")])
+    with pytest.raises(TypeError):
+        network.nodes["C"] = Node("C", 600.0, 800.0)
+    assert network.nodes["C"] == LINE["C"]
+
+
+def test_a_network_keeps_its_own_copy_of_the_nodes():
+    nodes = dict(LINE)
+    network = SkywayNetwork(nodes, [("A", "B"), ("B", "C")])
+    nodes["C"] = Node("C", 600.0, 800.0)
+    del nodes["A"]
+    assert dict(network.nodes) == LINE
+    assert shortest_path(network, "A", "C") == Path(("A", "B", "C"), 10.0)
+
+
+@pytest.mark.parametrize("duplicate", [lambda net: pickle.loads(pickle.dumps(net)),
+                                       lambda net: pickle.loads(pickle.dumps(net, 0)),
+                                       copy.deepcopy, copy.copy, dataclasses.replace],
+                         ids=["pickle", "pickle-0", "deepcopy", "copy", "replace"])
+def test_a_copied_network_equals_its_original(duplicate):
+    network = SkywayNetwork(LINE, [("B", "A"), ("C", "B")])
+    copied = duplicate(network)
+    assert copied == network
+    with pytest.raises(TypeError):
+        copied.nodes["C"] = Node("C", 600.0, 800.0)
+    assert shortest_path(copied, "A", "C") == shortest_path(network, "A", "C")
 
 
 @given(st.one_of(helpers.generated_networks(), helpers.lattice_networks()), st.data())

@@ -9,6 +9,7 @@ import math
 import re
 import shlex
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -209,7 +210,7 @@ _N1_PLAN = sd.plan_ndf(_N1, "S", helpers.N1_PACKAGES)
      "segments[0]: expected an (a, b) pair or an (a, b, length) row"),
     (lambda: dataclasses.replace(_N1, segments=(("A", "ghost", 1.0),)),
      "segments[0].b: unknown node 'ghost'"),
-    (lambda: dataclasses.replace(_N1, nodes=5), "nodes: expected a dict, got int"),
+    (lambda: dataclasses.replace(_N1, nodes=5), "nodes: expected a Mapping, got int"),
     (lambda: dataclasses.replace(_N1, nodes={**_N1.nodes, "A": _N1.node("B")}),
      "nodes['A']: expected the Node of id 'A'"),
     (lambda: sd.serialize_report(sd.MissionReport(
@@ -245,3 +246,57 @@ def test_output_only_results_are_named_tuples():
         "StrategyOutcome", "CompareResult"}
     # A network is its nodes and segments; the search index is derived from them.
     assert [f.name for f in dataclasses.fields(sd.SkywayNetwork)] == ["nodes", "segments"]
+
+
+_CHECKS = ("_judge", "_checked", "_require_plan", "_check_consistency", "_is_walk")
+
+
+def _counting_checks(monkeypatch) -> Counter:
+    """Count the calls of each check in ``_CHECKS``, in every module that
+    looks it up."""
+    calls: Counter = Counter()
+    modules = (sd.graph, sd.planner, sd.simulator, sd.scenario)
+    for name in _CHECKS:
+        def counted(*args, name=name, original=getattr(sd.simulator, name)):
+            calls[name] += 1
+            return original(*args)
+        for module in modules:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+# Calls of each check in _CHECKS per public call, in that order; "legs" is
+# one per leg of the plan flown. _require_plan may run up to twice.
+_ONE_JUDGEMENT = {
+    "parse_scenario": (1, 1, 0, 0, 0),
+    "compare_strategies": (0, 1, 2, 0, 0),
+    "simulate_mission": (1, 1, 2, 1, "legs"),
+    "plan_ndf": (1, 1, 0, 0, 0),
+    "plan_optimal": (1, 1, 0, 0, 0),
+}
+
+
+@pytest.mark.parametrize("name", _ONE_JUDGEMENT)
+def test_a_call_judges_its_arguments_once_on_entry(monkeypatch, name):
+    text = sd.serialize_scenario(sd.generate_scenario(60, 5, seed=3))
+    scenario = sd.parse_scenario(text)
+    manifest = (scenario.network, scenario.source, scenario.packages)
+    limits = {"drone": scenario.drone, "level_count": scenario.rig.level_count}
+    plan = sd.plan_ndf(*manifest, **limits)
+    assignment = sd.assign_levels(plan)
+    call = {
+        "parse_scenario": lambda: sd.parse_scenario(text),
+        "compare_strategies": lambda: sd.compare_strategies(scenario),
+        "simulate_mission": lambda: sd.simulate_mission(
+            scenario.network, plan, assignment, scenario.drone, scenario.rig, scenario.packages),
+        "plan_ndf": lambda: sd.plan_ndf(*manifest, **limits),
+        "plan_optimal": lambda: sd.plan_optimal(*manifest, **limits),
+    }[name]
+    calls = _counting_checks(monkeypatch)
+    call()
+    expected = dict(zip(_CHECKS, _ONE_JUDGEMENT[name]))
+    if expected["_is_walk"] == "legs":
+        expected["_is_walk"] = len(plan.legs)
+    assert calls["_require_plan"] <= expected.pop("_require_plan")
+    assert {check: calls[check] for check in expected} == expected

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import types
 from collections import Counter
 
 import pytest
@@ -365,6 +366,32 @@ def test_an_overweight_scenario_builds_and_round_trips(scenario_dir):
     heavy = dataclasses.replace(n1, packages=tuple(
         dataclasses.replace(package, mass=10.0) for package in n1.packages))
     assert parse_scenario(serialize_scenario(heavy)) == heavy
+
+
+def test_a_scenario_stores_its_packages_as_a_tuple(scenario_dir):
+    n1 = parse_scenario((scenario_dir / "n1.json").read_text())
+    packages = list(n1.packages)
+    scenario = Scenario(n1.network, n1.source, n1.drone, n1.rig, packages, n1.label)
+    packages.pop()
+    assert type(scenario.packages) is tuple
+    assert scenario == n1
+
+
+def test_generation_refuses_more_nodes_than_its_cap_before_any_draw(monkeypatch):
+    def no_draw(seed):
+        raise AssertionError("generate_scenario drew before refusing its node count")
+
+    monkeypatch.setattr(scenario_module, "random", types.SimpleNamespace(Random=no_draw))
+    with pytest.raises(InvalidParams) as excinfo:
+        generate_scenario(10**9, 0, 1)
+    assert str(excinfo.value) == "node_count must be <= 100000, got 1000000000"
+    with pytest.raises(InvalidParams):
+        generate_scenario(scenario_module._NODE_CAP + 1, 0, 1)
+    monkeypatch.undo()
+    monkeypatch.setattr(scenario_module, "_NODE_CAP", 5)
+    assert len(generate_scenario(5, 2, 1).network.nodes) == 5
+    with pytest.raises(InvalidParams):
+        generate_scenario(6, 2, 1)
 
 
 def test_generation_is_deterministic():
