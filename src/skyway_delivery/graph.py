@@ -80,7 +80,11 @@ class SkywayNetwork:
     the fault ``segment_faults`` finds, ZeroLengthSegment or
     NonFiniteLength, or ValidationError for a length other than the
     measured one. Then a node the first one cannot reach raises
-    DisconnectedNetwork."""
+    DisconnectedNetwork.
+
+    The search index numbers the nodes in id order: ``_ids`` maps each
+    number to its id, ``_rank`` each id to its number, and ``_links`` each
+    number to its (neighbour number, length) pairs."""
 
     nodes: Mapping[str, Node]
     segments: tuple[Segment, ...]
@@ -88,11 +92,9 @@ class SkywayNetwork:
     def __post_init__(self):
         _require("nodes", self.nodes, abc.Mapping)
         nodes = dict(self.nodes)
-        links: dict[str, list[tuple[str, float]]] = {}
         for key, node in nodes.items():
             if not (isinstance(node, Node) and node.id == key):
                 raise ValidationError([f"nodes[{key!r}]: expected the Node of id {key!r}"])
-            links[key] = []
         _require("segments", self.segments, abc.Iterable)
         rows: list[Segment] = []
         seen_pairs: set[tuple[str, str]] = set()
@@ -109,7 +111,7 @@ class SkywayNetwork:
             if not (isinstance(a, str) and a and isinstance(b, str) and b):
                 raise ValidationError(v for v in (non_empty(f"segments[{i}].a", a),
                                                   non_empty(f"segments[{i}].b", b)) if v)
-            faults = segment_faults(i, a, b, links, seen_pairs)
+            faults = segment_faults(i, a, b, nodes, seen_pairs)
             if faults:
                 raise faults[0]
             node_a, node_b = nodes[a], nodes[b]
@@ -126,20 +128,26 @@ class SkywayNetwork:
             # tuple.__new__ builds the row without Segment's Python-level __new__.
             rows.append(row(Segment, (a, b, length) if a < b else (b, a, length)))
         rows.sort()  # endpoint pairs are unique, so a length never decides the order
+        ids = tuple(sorted(nodes))
+        rank = {node_id: r for r, node_id in enumerate(ids)}
+        links: list[list[tuple[int, float]]] = [[] for _ in ids]
         for a, b, length in rows:
+            a, b = rank[a], rank[b]
             links[a].append((b, length))
             links[b].append((a, length))
-        reached = {next(iter(links))} if links else set()
+        reached = {rank[next(iter(nodes))]} if nodes else set()
         frontier = list(reached)
         while frontier:
             for neighbour, _ in links[frontier.pop()]:
                 if neighbour not in reached:
                     reached.add(neighbour)
                     frontier.append(neighbour)
-        if len(reached) != len(links):
-            raise DisconnectedNetwork(links.keys() - reached)
+        if len(reached) != len(ids):
+            raise DisconnectedNetwork(ids[r] for r in range(len(ids)) if r not in reached)
         object.__setattr__(self, "nodes", MappingProxyType(nodes))
         object.__setattr__(self, "segments", tuple(rows))
+        object.__setattr__(self, "_ids", ids)
+        object.__setattr__(self, "_rank", rank)
         object.__setattr__(self, "_links", links)
 
     def __reduce__(self):
@@ -234,8 +242,8 @@ def shortest_paths_from(network: SkywayNetwork, source: str,
     network.node(source)
     if targets is not None:
         targets = _distinct_nodes(network, "targets", targets)
-    pending = network._links if targets is None else targets
-    paths = _settle(network._links, source, set(pending)) if pending else {}
+    pending = network.nodes if targets is None else targets
+    paths = _settle(network, source, pending) if pending else {}
     return paths if targets is None else {node: paths[node] for node in targets}
 
 
@@ -254,86 +262,65 @@ def _nearest_stops(network: SkywayNetwork, source: str, stops: Collection[str]) 
     """The shortest paths from ``source`` to the stops nearest to it: every
     one of ``stops`` (known node ids) at the least distance, each the path
     ``shortest_paths_from`` returns (see ``_settle``)."""
-    return _settle(network._links, source, stops, nearest=True)
+    return _settle(network, source, stops, nearest=True)
 
 
-def _settle(links: dict[str, list[tuple[str, float]]], source: str,
-            stops: Collection[str], nearest: bool = False) -> dict[str, Path]:
-    """Dijkstra from ``source`` over the search index ``links`` until every
-    one of ``stops`` is settled, or, with ``nearest``, until the first
-    distance popped past the first stop settled. Returns the paths of the
-    stops settled, in settling order.
+def _settle(network: SkywayNetwork, source: str, stops: Collection[str],
+            nearest: bool = False) -> dict[str, Path]:
+    """Dijkstra from ``source`` over the network's search index until every
+    one of ``stops`` (distinct node ids) is settled, or, with ``nearest``,
+    until the first distance popped past the first stop settled. Returns the
+    paths of the stops settled, in settling order.
 
-    A settled node's distance and its walk along ``prev`` are final. Of the
-    walks of equal length (bit for bit) each node gets the lexicographically
-    smallest. Each node keeps only its distance and its predecessor, and on
-    an exactly equal tentative distance the two full walks decide. A segment
-    shorter than half an ulp of the distance so far leaves the sum
-    unchanged, so the nodes at the popped distance form one batch that
-    settles smallest walk first, and a node reached at that distance again
-    joins the batch.
+    The heap holds (distance, walk) pairs, a walk being the tuple of its
+    nodes' rank numbers. Rank order is id order, so of the walks of equal
+    length (bit for bit) the lexicographically smallest pops first, and a
+    walk before its extensions. A node settles at its first pop. A neighbour
+    not yet settled is pushed when the walk reaches it no later than every
+    walk pushed for it before, so no walk that could pop first is left out
+    and each segment pushes at most once each way.
     """
+    ids, rank, links = network._ids, network._rank, network._links
     push, pop = heapq.heappush, heapq.heappop
-    dist = {source: 0.0}
-    prev: dict[str, str | None] = {source: None}
-    settled: set[str] = set()
-    found: dict[str, float] = {}
+    wanted = bytearray(len(ids))
+    for stop in stops:
+        wanted[rank[stop]] = 1
+    dist = [math.inf] * len(ids)
+    done = bytearray(len(ids))
+    found: dict[str, Path] = {}
     least = math.inf
-    heap = [(0.0, source)]
+    heap = [(0.0, (rank[source],))]
     while heap:
-        d, node = pop(heap)
-        if node in settled:
+        d, walk = pop(heap)
+        node = walk[-1]
+        if done[node]:
             continue
         if d > least:
             break
-        if heap and heap[0][0] == d:
-            # The batch at d: settle its smallest walk, put the rest back.
-            batch = [node]
-            while heap and heap[0][0] == d:
-                other = pop(heap)[1]
-                if other not in settled:
-                    batch.append(other)
-            node = min(batch, key=lambda n: _walk(prev, n))
-            for other in batch:
-                if other != node:
-                    push(heap, (d, other))
-        if node in stops:
-            found[node] = d
+        done[node] = 1
+        if wanted[node]:
+            found[ids[node]] = Path(tuple(map(ids.__getitem__, walk)), d)
             if nearest:
                 least = d
             elif len(found) == len(stops):
                 break
-        settled.add(node)
         for neighbour, length in links[node]:
             reach = d + length
-            known = dist.get(neighbour)
-            if known is None or reach < known:
+            if reach <= dist[neighbour] and not done[neighbour]:
                 dist[neighbour] = reach
-                prev[neighbour] = node
-                push(heap, (reach, neighbour))
-            elif (reach == known and neighbour not in settled
-                  and _walk(prev, node) + (neighbour,) < _walk(prev, neighbour)):
-                prev[neighbour] = node
-    return {stop: Path(_walk(prev, stop), d) for stop, d in found.items()}
-
-
-def _walk(prev: dict[str, str | None], node: str) -> tuple[str, ...]:
-    """The node sequence from the source to ``node`` along ``prev`` links."""
-    walk = []
-    while node is not None:
-        walk.append(node)
-        node = prev[node]
-    return tuple(reversed(walk))
+                push(heap, (reach, walk + (neighbour,)))
+    return found
 
 
 def _is_walk(network: SkywayNetwork, path, start: str) -> bool:
     """Whether ``path`` walks the network from ``start`` with a total_length
     equal to the left-to-right sum of its segments."""
-    links = network._links
+    links, rank = network._links, network._rank
     try:
         nodes, length = path
-        total, here = 0.0, links[start]
+        total, here = 0.0, links[rank[start]]
         for node in nodes[1:]:
+            node = rank[node]
             total += dict(here)[node]
             here = links[node]
         return nodes[0] == start and total == length

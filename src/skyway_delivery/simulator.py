@@ -188,11 +188,22 @@ class TelemetryLog(abc.Sequence):
         the simulator's moves. Anything else, or a record with a value that
         is not a number or an event that is not a str, raises ValidationError."""
         _require("log", runs, abc.Sequence)
-        self._runs = runs = tuple(runs)
+        runs = tuple(runs)
         found = [fault for i, run in enumerate(runs) if type(run) is not _Move
                  for fault in _record_faults(f"log[{i}]", run)]
         if found:
             raise ValidationError(found)
+        self._keep(runs)
+
+    @classmethod
+    def _of(cls, runs: tuple[TelemetryRecord | _Move, ...]) -> TelemetryLog:
+        """The log of a flight's own runs, which it does not judge again."""
+        log = cls.__new__(cls)
+        log._keep(runs)
+        return log
+
+    def _keep(self, runs: tuple[TelemetryRecord | _Move, ...]) -> None:
+        self._runs = runs
         # _ends[r] is the number of rows up to and including run r.
         self._ends = list(accumulate(max(0, run.last - run.first + 1) if type(run) is _Move
                                      else 1 for run in runs))
@@ -298,10 +309,16 @@ def consumption_rate(drone: DroneConfig, payload_mass: float) -> float:
         raise ValueError(f"payload mass must be a number, got {type(payload_mass).__name__}")
     if mass < 0:
         raise NegativePayload(f"payload mass must be >= 0, got {payload_mass}")
+    return _rate(drone, mass, payload_mass)
+
+
+def _rate(drone: DroneConfig, mass: float, shown: object) -> float:
+    """``consumption_rate`` of a judged drone and a float ``mass`` >= 0,
+    given as ``shown``; an infinite rate raises ValidationError."""
     rate = drone.base_rate + drone.payload_rate * mass
     if not math.isfinite(rate):
         raise ValidationError([
-            f"drone: the consumption rate base_rate + payload_rate * {payload_mass} kg "
+            f"drone: the consumption rate base_rate + payload_rate * {shown} kg "
             f"must be finite (got {rate})"])
     return rate
 
@@ -498,12 +515,14 @@ def simulate_mission(network: SkywayNetwork, plan: MissionPlan,
         raise ValueError(f"release_dwell must be a finite number >= 0 (got {release_dwell!r})")
     _checked(network, plan.source, packages, drone, rig.level_count)
     _check_consistency(network, plan, assignment, packages)
-    return _fly(network, plan, drone, rig, packages, dwell, step)
+    runs, report = _fly(network, plan, drone, rig, packages, dwell, step)
+    return TelemetryLog._of(runs), report
 
 
 def _fly(network: SkywayNetwork, plan: MissionPlan, drone: DroneConfig, rig: StringRig,
          packages: Sequence[Package], dwell: float, step: float):
-    """``simulate_mission``'s (telemetry, report), of arguments it has judged."""
+    """``simulate_mission``'s telemetry runs and report, of arguments it has
+    judged."""
     mass_of = {p.id: p.mass for p in packages}
     order = plan.release_order
 
@@ -523,7 +542,7 @@ def _fly(network: SkywayNetwork, plan: MissionPlan, drone: DroneConfig, rig: Str
 
     for leg_number, leg in enumerate(plan.legs, start=1):
         leg_payload = flight.payload_mass
-        flight.rate = leg_rate = consumption_rate(drone, leg_payload)
+        flight.rate = leg_rate = _rate(drone, leg_payload, leg_payload)
         start = len(flight.records)
         try:
             if leg.release is None and leg.path.total_length == 0.0:
@@ -578,7 +597,7 @@ def _fly(network: SkywayNetwork, plan: MissionPlan, drone: DroneConfig, rig: Str
         end_position=(flight.x, flight.y, flight.z),
         abort_reason=abort_reason,
     )
-    return TelemetryLog(flight.records), report
+    return tuple(flight.records), report
 
 
 @dataclass(frozen=True)

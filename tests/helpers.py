@@ -3,8 +3,9 @@
 The oracles deliberately avoid the library's own algorithms: path minima come
 from exhaustive DFS over simple paths, so Dijkstra has something independent
 to agree with; exact tie-breaking comes from a Dijkstra whose heap entries
-carry whole walks, so the predecessor-link one does; NDF plans come from
-the nearest-first rule over the full stop matrix, so the bounded search
+carry whole walks and that pushes every one of them, so the pruned one
+does; NDF plans come from the nearest-first rule over the full stop
+matrix, so the bounded search
 does (the rule is the planner's own ``_nearest_first``, which compare
 uses; ``test_ndf_matches_greedy_over_full_dijkstra_runs`` shares no code
 with the planner); optimal release orders come from scoring every

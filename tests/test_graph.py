@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import heapq
 import math
 import pickle
+import types
 
 import pytest
 from hypothesis import given, strategies as st
 
 import helpers
+from skyway_delivery import graph
 from skyway_delivery import (
     DroneConfig,
     Node,
@@ -435,10 +438,37 @@ def test_stop_matrix_paths_equal_full_run_paths(network, data):
 def test_shortest_paths_equal_the_walk_tuple_oracle(network, data):
     ids = sorted(network.nodes)
     for source in ids:
-        assert shortest_paths_from(network, source) == (
-            helpers.walk_tuple_shortest_paths(network, source))
+        full = shortest_paths_from(network, source)
+        oracle = helpers.walk_tuple_shortest_paths(network, source)
+        assert full == oracle
+        assert list(full) == list(oracle)  # settled in the oracle's order
     source = data.draw(st.sampled_from(ids))
     targets = data.draw(st.lists(st.sampled_from(ids), max_size=4))
     oracle = helpers.walk_tuple_shortest_paths(network, source, targets)
     assert shortest_paths_from(network, source, targets) == {
         node_id: oracle[node_id] for node_id in set(targets)}
+
+
+def test_full_runs_from_the_grid_corners_equal_the_walk_tuple_oracle():
+    network = helpers.grid_network(20, 20)
+    for corner in ("g0-0", "g0-19", "g19-0", "g19-19"):
+        full = shortest_paths_from(network, corner)
+        oracle = helpers.walk_tuple_shortest_paths(network, corner)
+        assert full == oracle
+        assert list(full) == list(oracle)
+
+
+def test_a_grid_search_pushes_each_segment_at_most_once_each_way(monkeypatch):
+    # A unit grid ties at nearly every node: the count pins the search's work
+    # where equal-length walks abound, without a timer.
+    network = helpers.grid_network(30, 30)
+    pushes = []
+
+    def heappush(heap, item):
+        pushes.append(item[0])
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(graph, "heapq", types.SimpleNamespace(heappush=heappush,
+                                                              heappop=heapq.heappop))
+    assert len(shortest_paths_from(network, "g0-0")) == 900
+    assert len(pushes) <= 2 * len(network.segments) + 1

@@ -251,12 +251,12 @@ def test_output_only_results_are_named_tuples():
 _CHECKS = ("_judge", "_checked", "_require_plan", "_check_consistency", "_is_walk")
 
 
-def _counting_checks(monkeypatch) -> Counter:
-    """Count the calls of each check in ``_CHECKS``, in every module that
-    looks it up."""
+def _counting_checks(monkeypatch, checks=_CHECKS) -> Counter:
+    """Count the calls of each of ``checks``, in every module that looks it
+    up."""
     calls: Counter = Counter()
     modules = (sd.graph, sd.planner, sd.simulator, sd.scenario)
-    for name in _CHECKS:
+    for name in checks:
         def counted(*args, name=name, original=getattr(sd.simulator, name)):
             calls[name] += 1
             return original(*args)
@@ -300,3 +300,19 @@ def test_a_call_judges_its_arguments_once_on_entry(monkeypatch, name):
         expected["_is_walk"] = len(plan.legs)
     assert calls["_require_plan"] <= expected.pop("_require_plan")
     assert {check: calls[check] for check in expected} == expected
+
+
+@pytest.mark.parametrize("name", ["compare_strategies", "simulate_mission"])
+def test_a_flight_judges_neither_its_own_records_nor_its_drone_again(monkeypatch, name):
+    scenario = sd.parse_scenario(sd.serialize_scenario(sd.generate_scenario(60, 5, seed=3)))
+    plan = sd.plan_ndf(scenario.network, scenario.source, scenario.packages,
+                       drone=scenario.drone, level_count=scenario.rig.level_count)
+    call = {
+        "compare_strategies": lambda: sd.compare_strategies(scenario),
+        "simulate_mission": lambda: sd.simulate_mission(
+            scenario.network, plan, sd.assign_levels(plan), scenario.drone, scenario.rig,
+            scenario.packages),
+    }[name]
+    calls = _counting_checks(monkeypatch, ("_record_faults", "consumption_rate"))
+    call()
+    assert calls == {}
