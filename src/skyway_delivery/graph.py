@@ -265,6 +265,35 @@ def _nearest_stops(network: SkywayNetwork, source: str, stops: Collection[str]) 
     return _settle(network, source, stops, nearest=True)
 
 
+class _Walk:
+    """A walk of a search: the walk ``prior`` (None before the source) then
+    node number ``node``. Walks order as the tuples of their node numbers,
+    which a walk builds only when the heap compares it with a walk of equal
+    length, or when it reaches a stop; so a push costs the same at any hop
+    depth, and a search that meets no tie copies no walk but its stops'."""
+
+    __slots__ = ("prior", "node", "kept")
+
+    def __init__(self, prior: _Walk | None, node: int):
+        self.prior = prior
+        self.node = node
+        self.kept = None
+
+    def numbers(self) -> tuple[int, ...]:
+        """The numbers of the walk's nodes, source first."""
+        if self.kept is None:
+            tail, walk = [], self
+            while walk is not None and walk.kept is None:
+                tail.append(walk.node)
+                walk = walk.prior
+            self.kept = (() if walk is None else walk.kept) + tuple(reversed(tail))
+            self.prior = None  # the numbers stand in for the chain, which may now go
+        return self.kept
+
+    def __lt__(self, other: _Walk) -> bool:
+        return (self.kept or self.numbers()) < (other.kept or other.numbers())
+
+
 def _settle(network: SkywayNetwork, source: str, stops: Collection[str],
             nearest: bool = False) -> dict[str, Path]:
     """Dijkstra from ``source`` over the network's search index until every
@@ -272,13 +301,13 @@ def _settle(network: SkywayNetwork, source: str, stops: Collection[str],
     until the first distance popped past the first stop settled. Returns the
     paths of the stops settled, in settling order.
 
-    The heap holds (distance, walk) pairs, a walk being the tuple of its
-    nodes' rank numbers. Rank order is id order, so of the walks of equal
-    length (bit for bit) the lexicographically smallest pops first, and a
-    walk before its extensions. A node settles at its first pop. A neighbour
-    not yet settled is pushed when the walk reaches it no later than every
-    walk pushed for it before, so no walk that could pop first is left out
-    and each segment pushes at most once each way.
+    The heap holds (distance, walk) pairs, a walk (``_Walk``) ordering as
+    the tuple of its nodes' rank numbers. Rank order is id order, so of the
+    walks of equal length (bit for bit) the lexicographically smallest pops
+    first, and a walk before its extensions. A node settles at its first
+    pop. A neighbour not yet settled is pushed when the walk reaches it no
+    later than every walk pushed for it before, so no walk that could pop
+    first is left out and each segment pushes at most once each way.
     """
     ids, rank, links = network._ids, network._rank, network._links
     push, pop = heapq.heappush, heapq.heappop
@@ -289,17 +318,17 @@ def _settle(network: SkywayNetwork, source: str, stops: Collection[str],
     done = bytearray(len(ids))
     found: dict[str, Path] = {}
     least = math.inf
-    heap = [(0.0, (rank[source],))]
+    heap = [(0.0, _Walk(None, rank[source]))]
     while heap:
         d, walk = pop(heap)
-        node = walk[-1]
+        node = walk.node
         if done[node]:
             continue
         if d > least:
             break
         done[node] = 1
         if wanted[node]:
-            found[ids[node]] = Path(tuple(map(ids.__getitem__, walk)), d)
+            found[ids[node]] = Path(tuple(map(ids.__getitem__, walk.numbers())), d)
             if nearest:
                 least = d
             elif len(found) == len(stops):
@@ -308,7 +337,7 @@ def _settle(network: SkywayNetwork, source: str, stops: Collection[str],
             reach = d + length
             if reach <= dist[neighbour] and not done[neighbour]:
                 dist[neighbour] = reach
-                push(heap, (reach, walk + (neighbour,)))
+                push(heap, (reach, _Walk(walk, neighbour)))
     return found
 
 

@@ -309,16 +309,10 @@ def consumption_rate(drone: DroneConfig, payload_mass: float) -> float:
         raise ValueError(f"payload mass must be a number, got {type(payload_mass).__name__}")
     if mass < 0:
         raise NegativePayload(f"payload mass must be >= 0, got {payload_mass}")
-    return _rate(drone, mass, payload_mass)
-
-
-def _rate(drone: DroneConfig, mass: float, shown: object) -> float:
-    """``consumption_rate`` of a judged drone and a float ``mass`` >= 0,
-    given as ``shown``; an infinite rate raises ValidationError."""
     rate = drone.base_rate + drone.payload_rate * mass
     if not math.isfinite(rate):
         raise ValidationError([
-            f"drone: the consumption rate base_rate + payload_rate * {shown} kg "
+            f"drone: the consumption rate base_rate + payload_rate * {payload_mass} kg "
             f"must be finite (got {rate})"])
     return rate
 
@@ -542,7 +536,7 @@ def _fly(network: SkywayNetwork, plan: MissionPlan, drone: DroneConfig, rig: Str
 
     for leg_number, leg in enumerate(plan.legs, start=1):
         leg_payload = flight.payload_mass
-        flight.rate = leg_rate = _rate(drone, leg_payload, leg_payload)
+        flight.rate = leg_rate = consumption_rate(drone, leg_payload)
         start = len(flight.records)
         try:
             if leg.release is None and leg.path.total_length == 0.0:

@@ -472,3 +472,23 @@ def test_a_grid_search_pushes_each_segment_at_most_once_each_way(monkeypatch):
                                                               heappop=heapq.heappop))
     assert len(shortest_paths_from(network, "g0-0")) == 900
     assert len(pushes) <= 2 * len(network.segments) + 1
+
+
+def test_a_search_without_ties_builds_only_its_stops_walk(monkeypatch):
+    # Hop depth must not multiply a search's work: along a 2,000-node corridor
+    # no two walks tie, so a search for the far end builds one walk, its own,
+    # and none per push.
+    ids = [f"n{i:04d}" for i in range(2000)]
+    network = build_network([(node_id, i * 1.3, 0.0, 0.0) for i, node_id in enumerate(ids)],
+                            list(zip(ids, ids[1:])))
+    built = []
+    numbers = graph._Walk.numbers
+
+    def counted(walk):
+        if walk.kept is None:
+            built.append(walk.node)
+        return numbers(walk)
+
+    monkeypatch.setattr(graph._Walk, "numbers", counted)
+    assert shortest_path(network, ids[0], ids[-1]).nodes == tuple(ids)
+    assert built == [1999]
