@@ -236,7 +236,7 @@ def shortest_paths_from(network: SkywayNetwork, source: str,
     ``targets`` the search ends once each target is settled and returns
     exactly the targets' paths. Raises UnknownNode for an unknown source or
     target, and ValidationError for a ``network`` that is not a SkywayNetwork
-    or ``targets`` that are not iterable.
+    or ``targets`` that are not iterable or are a str.
     """
     _require("network", network, SkywayNetwork)
     network.node(source)
@@ -249,20 +249,16 @@ def shortest_paths_from(network: SkywayNetwork, source: str,
 
 def _distinct_nodes(network: SkywayNetwork, name: str, node_ids) -> list[str]:
     """The argument ``name``, ``node_ids``, without repeats in first-seen
-    order, once it is iterable (else ValidationError) and each item names
-    a node (else UnknownNode)."""
+    order, once it is iterable but not a str (else ValidationError: a str
+    would be read one character at a time) and each item names a node
+    (else UnknownNode)."""
     _require(name, node_ids, abc.Iterable)
+    if isinstance(node_ids, str):
+        raise ValidationError([f"{name}: expected an iterable of node ids, got str"])
     node_ids = list(node_ids)
     for node_id in node_ids:
         network.node(node_id)
     return list(dict.fromkeys(node_ids))
-
-
-def _nearest_stops(network: SkywayNetwork, source: str, stops: Collection[str]) -> dict[str, Path]:
-    """The shortest paths from ``source`` to the stops nearest to it: every
-    one of ``stops`` (known node ids) at the least distance, each the path
-    ``shortest_paths_from`` returns (see ``_settle``)."""
-    return _settle(network, source, stops, nearest=True)
 
 
 class _Walk:

@@ -19,7 +19,7 @@ from .errors import (
 )
 from .rules import (_require, _type_violation, as_number, check_fields, finite, integer,
                     non_empty, non_negative, numeric, positive)
-from .graph import Path, SkywayNetwork, _nearest_stops, shortest_path, stop_matrix
+from .graph import Path, SkywayNetwork, _settle, shortest_path, stop_matrix
 
 # The largest manifest the Held–Karp planner takes. Each package more
 # about doubles its time and memory: on a 2-core VM (Python 3.11),
@@ -213,7 +213,7 @@ def plan_ndf(network: SkywayNetwork, source: str, packages: Sequence[Package], *
     legs: list[Leg] = []
     at = source
     while left:
-        nearest = _nearest_stops(network, at, {p.destination for p in left})
+        nearest = _settle(network, at, {p.destination for p in left}, nearest=True)
         package = left.pop(next(i for i, p in enumerate(left) if p.destination in nearest))
         legs.append(Leg(nearest[package.destination], package.id))
         at = package.destination

@@ -131,10 +131,6 @@ def _ends(raw, index: int, problems: list[str]) -> tuple[str | None, str | None]
     """The endpoints of segment ``index``, each None after its fault is
     reported: a value that is not an object, then unknown keys, then a
     missing or empty endpoint."""
-    if type(raw) is dict and len(raw) == 2:
-        a, b = raw.get("a"), raw.get("b")
-        if type(a) is str and type(b) is str and a and b:
-            return a, b
     locator = f"segments[{index}]"
     if not isinstance(raw, dict):
         problems.append(f"{locator}: expected an object")
@@ -165,9 +161,9 @@ def parse_scenario(text: str) -> Scenario:
     parser checks only the document's structure: objects, lists, unknown
     and missing keys. Each field's type and value rules are the ones the
     constructors and ``build_network`` apply, collected for every item.
-    A valid item costs one constructor call (a segment, one shape check)
-    and one fault check; a segment's fault check is the ``SkywayNetwork``
-    constructor's. The full violation list is collected only for an item
+    A valid node or package costs one constructor call and one fault
+    check; a valid segment is judged only by the ``SkywayNetwork``
+    constructor. The full violation list is collected only for an item
     that fails them, and every segment's faults only when some item fails
     or the constructor raises.
     """
@@ -216,11 +212,8 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(raw_segments, list):
         problems.append("segments: expected a list")
         raw_segments = []
-    # The shape faults of the segments fill problems[segments_at:segments_end];
-    # a failed parse replaces them with every segment's faults.
+    # A failed parse reports every segment's faults here.
     segments_at = len(problems)
-    pairs = [_ends(raw, i, problems) for i, raw in enumerate(raw_segments)]
-    segments_end = len(problems)
 
     # -- drone and rig -------------------------------------------------------
     drone, _ = _build(DroneConfig, _block(doc, "drone", problems), problems, "drone")
@@ -250,13 +243,15 @@ def parse_scenario(text: str) -> Scenario:
     network = fault = None
     if not problems:
         try:
-            # Without problems every node builds and every segment is an
-            # object with two non-empty ends.
-            network = SkywayNetwork(nodes, pairs)
+            # Without problems every node builds. A segment of any shape but
+            # a two-key object is None, which the constructor refuses.
+            network = SkywayNetwork(nodes, [(raw.get("a"), raw.get("b"))
+                                            if type(raw) is dict and len(raw) == 2 else None
+                                            for raw in raw_segments])
         except SkywayError as exc:
             fault = exc
     if network is None:
-        problems[segments_at:segments_end] = _segment_problems(raw_segments, nodes)
+        problems[segments_at:segments_at] = _segment_problems(raw_segments, nodes)
         if problems:
             raise ValidationError(problems) from fault
         # Whole-network faults without a single field to point at, e.g.
@@ -369,20 +364,14 @@ def generate_scenario(node_count: int, package_count: int, seed: int,
         rooftop = round(rng.uniform(5.0, 60.0), 2)
         node_specs.append((node_id, position[0], position[1], rooftop))
 
+    # A set, since a chord may repeat a pair; the network sorts its rows.
     pairs: set[tuple[str, str]] = set()
-    segment_specs: list[tuple[str, str]] = []
     for i in range(1, node_count):
         j = rng.randrange(i)
-        pair = (ids[j], ids[i]) if ids[j] < ids[i] else (ids[i], ids[j])
-        pairs.add(pair)
-        segment_specs.append(pair)
+        pairs.add((ids[j], ids[i]) if ids[j] < ids[i] else (ids[i], ids[j]))
     for _ in range(rng.randint(0, node_count)):
         i, j = rng.sample(range(node_count), 2)
-        pair = (ids[i], ids[j]) if ids[i] < ids[j] else (ids[j], ids[i])
-        if pair in pairs:
-            continue
-        pairs.add(pair)
-        segment_specs.append(pair)
+        pairs.add((ids[i], ids[j]) if ids[i] < ids[j] else (ids[j], ids[i]))
 
     destinations = rng.sample(ids[1:], package_count)
     packages = tuple(
@@ -394,7 +383,7 @@ def generate_scenario(node_count: int, package_count: int, seed: int,
     levels = tuple(1.0 + 0.5 * (level_count - i) for i in range(1, level_count + 1))
     rig = StringRig(levels, 1.0)
 
-    network = build_network(node_specs, segment_specs)
+    network = build_network(node_specs, pairs)
     label = f"gen-n{node_count}-p{package_count}-s{seed}"
     return Scenario(network=network, source=ids[0], drone=DroneConfig(),
                     rig=rig, packages=packages, label=label)

@@ -183,14 +183,14 @@ class TelemetryLog(abc.Sequence):
 
     __slots__ = ("_runs", "_ends")
 
-    def __init__(self, runs: Sequence[TelemetryRecord | _Move]):
-        """A log of ``runs``: TelemetryRecords, each a row of its own, and
-        the simulator's moves. Anything else, or a record with a value that
-        is not a number or an event that is not a str, raises ValidationError."""
+    def __init__(self, runs: Sequence[TelemetryRecord]):
+        """A log of ``runs``, TelemetryRecords, each a row of its own.
+        Anything else, the simulator's moves included, or a record with a
+        value that is not a number or an event that is not a str, raises
+        ValidationError."""
         _require("log", runs, abc.Sequence)
         runs = tuple(runs)
-        found = [fault for i, run in enumerate(runs) if type(run) is not _Move
-                 for fault in _record_faults(f"log[{i}]", run)]
+        found = [fault for i, run in enumerate(runs) for fault in _record_faults(f"log[{i}]", run)]
         if found:
             raise ValidationError(found)
         self._keep(runs)
@@ -373,7 +373,6 @@ class _Flight:
         self.payload_mass = payload_mass
         self.step = telemetry_step
         self.records: list[TelemetryRecord | _Move] = []
-        self._samples = 0
 
     def emit(self, event: str) -> None:
         self.records.append(TelemetryRecord(
@@ -428,20 +427,20 @@ class _Flight:
         The samples are the ones a loop over the step grid takes: grid
         point k (counted on from the last one taken) while k * step is below
         the move's end less _BOUNDARY_EPS, kept when above its start plus
-        _BOUNDARY_EPS.
+        _BOUNDARY_EPS. No move ends before it starts, so ``first`` and
+        ``last`` follow from its start and end alone.
         """
         x0, y0, z0, t0 = self.x, self.y, self.z, self.clock
         t1 = t0 + dist * fraction / speed
         if not math.isfinite(t1):
             raise NonFiniteLength(f"move to ({x}, {y}, {z}) takes no finite time")
-        step, taken = self.step, self._samples
-        last = max(taken, _grid_count(t1 - _BOUNDARY_EPS, step, operator.lt))
-        first = max(taken, _grid_count(t0 + _BOUNDARY_EPS, step, operator.le)) + 1
+        step = self.step
+        last = _grid_count(t1 - _BOUNDARY_EPS, step, operator.lt)
+        first = _grid_count(t0 + _BOUNDARY_EPS, step, operator.le) + 1
         # rate * speed is evaluated first, as in battery0 - rate * speed * (ts - t0).
         self.records.append(_Move(t0, x0, y0, z0, x - x0, y - y0, z - z0, speed, dist,
                                   rate * speed, self.battery, self.payload_mass, step,
                                   first, last, flown))
-        self._samples = last
         self.clock = t1
 
 
@@ -561,17 +560,15 @@ def _fly(network: SkywayNetwork, plan: MissionPlan, drone: DroneConfig, rig: Str
             end_node = stops[-1]
             flight.emit("ARRIVE")
             flight.emit("DESCEND")
+            # Down until the lowest loaded package touches the rooftop; with
+            # none left, hang is 0.0 and the drone lands.
+            flight.travel(flight.x, flight.y, end_node.rooftop_height + hang,
+                          drone.vertical_speed)
             if leg.release is None:
-                flight.travel(flight.x, flight.y, end_node.rooftop_height,
-                              drone.vertical_speed)
                 flight.emit("LAND")
             else:
-                level = len(releases) + 1
-                # Down until the package at ``level`` touches the rooftop.
-                flight.travel(flight.x, flight.y, end_node.rooftop_height + rig.hang(level),
-                              drone.vertical_speed)
                 flight.hold(dwell)
-                flight.payload_mass = payload_after[level]
+                flight.payload_mass = payload_after[len(releases) + 1]
                 flight.emit(f"RELEASE({leg.release})")
                 releases.append((leg.release, end_node.id, flight.clock))
         except BatteryDepleted:

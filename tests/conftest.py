@@ -8,6 +8,9 @@ from hypothesis import settings
 import helpers
 
 settings.register_profile("repo", deadline=None, derandomize=True)
+# `pytest --hypothesis-profile=deep` gives every property 15 times the
+# default 100 examples; the oracle properties are what it is for.
+settings.register_profile("deep", settings.get_profile("repo"), max_examples=1500)
 settings.load_profile("repo")
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"

@@ -367,6 +367,7 @@ class ReferenceFlight(_Flight):
 
     def __init__(self, *args):
         super().__init__(*args)
+        self._samples = 0  # the grid points the loop has passed
         self.total_distance = 0.0
 
     def travel(self, x, y, z, speed):

@@ -140,6 +140,9 @@ def test_a_wrong_argument_raises_a_package_error_or_returns(name, data):
 _N1 = helpers.build_n1()
 _N1_SCENARIO = sd.parse_scenario((ROOT / "scenarios" / "n1.json").read_text(encoding="utf-8"))
 _N1_PLAN = sd.plan_ndf(_N1, "S", helpers.N1_PACKAGES)
+# The n1 flight's own runs: TAKEOFF, ASCEND, then the climb as one move.
+_N1_RUNS = sd.simulate_mission(_N1, _N1_PLAN, sd.assign_levels(_N1_PLAN), sd.DroneConfig(),
+                               sd.StringRig(), helpers.N1_PACKAGES)[0]._runs
 
 
 @pytest.mark.parametrize("call, text", [
@@ -147,7 +150,11 @@ _N1_PLAN = sd.plan_ndf(_N1, "S", helpers.N1_PACKAGES)
     (lambda: sd.shortest_paths_from(5, "S"), "network: expected a SkywayNetwork, got int"),
     (lambda: sd.shortest_paths_from(_N1, "S", 5), "targets: expected an Iterable, got int"),
     (lambda: sd.shortest_paths_from(_N1, "S", [{"a": 1}]), "unknown node {'a': 1}"),
+    # A str is iterable, but one character at a time.
+    (lambda: sd.shortest_paths_from(_N1, "S", "AB"),
+     "targets: expected an iterable of node ids, got str"),
     (lambda: sd.stop_matrix(_N1, 5), "stops: expected an Iterable, got int"),
+    (lambda: sd.stop_matrix(_N1, "SA"), "stops: expected an iterable of node ids, got str"),
     (lambda: sd.build_network(None, []), "node_specs: expected an Iterable, got NoneType"),
     (lambda: sd.build_network([], math.nan), "segment_specs: expected an Iterable, got float"),
     (lambda: sd.optimal_order(5), "dist: expected a Sequence, got int"),
@@ -184,6 +191,7 @@ _N1_PLAN = sd.plan_ndf(_N1, "S", helpers.N1_PACKAGES)
      "log[0].t: expected a number, got str"),
     (lambda: sd.TelemetryLog([sd.TelemetryRecord(0.0, 0, 0, 0, 0, 0, 5)]),
      "log[0].event: expected a str, got int"),
+    (lambda: sd.TelemetryLog(_N1_RUNS[:3]), "log[2]: expected a TelemetryRecord, got _Move"),
     (lambda: sd.export_telemetry([sd.TelemetryRecord(0.0, 0, 0, 10**400, 0, 0)]),
      "log[0].z: must be finite"),
     (lambda: dataclasses.replace(_N1_SCENARIO, network=5),

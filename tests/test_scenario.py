@@ -803,13 +803,14 @@ def test_one_parse_checks_each_node_and_segment_once(monkeypatch):
 def test_a_valid_document_runs_no_item_diagnosis(monkeypatch):
     text = serialize_scenario(generate_scenario(60, 4, seed=7))
     calls = Counter()
-    for name in ("_reject_unknown", "_take", "field_violations"):
+    for name in ("_reject_unknown", "_take", "field_violations", "_ends"):
         def counted(*args, original=getattr(scenario_module, name), name=name):
             calls[name] += 1
             return original(*args)
         monkeypatch.setattr(scenario_module, name, counted)
     parse_scenario(text)
-    # Only the document's own keys and its source are looked at one by one.
+    # Only the document's own keys and its source are looked at one by one;
+    # the segments are judged by the network's constructor alone.
     assert calls == {"_reject_unknown": 1, "_take": 1}
 
 

@@ -175,6 +175,20 @@ def test_cruise_and_release_altitudes_along_the_n1_flight(packages, rig, cruise,
     assert (cruised, released) == (cruise, release)
 
 
+def test_a_flight_reads_each_delivery_legs_hang_once(monkeypatch):
+    """The cruise and the descent of a delivery leg share one hang, the one
+    of the lowest loaded level; the return leg reads none."""
+    levels, hang = [], StringRig.hang
+
+    def counted(rig, level):
+        levels.append(level)
+        return hang(rig, level)
+    monkeypatch.setattr(StringRig, "hang", counted)
+    _, report = fly_n1()
+    assert report.completed
+    assert levels == [1, 2, 3]
+
+
 def test_n1_mission_event_sequence():
     log, report = fly_n1()
     assert report.completed
@@ -723,11 +737,14 @@ def test_sampling_loop_matches_its_reference(start, battery, payload, step, move
     for flight in flights:
         fly_moves(flight, moves)
     fast, reference = flights
-    fast_log, reference_log = TelemetryLog(fast.records), TelemetryLog(reference.records)
+    fast_log = TelemetryLog._of(tuple(fast.records))
+    reference_log = TelemetryLog(reference.records)
     # repr tells -0.0 from 0.0, which == does not.
     assert repr(list(fast_log)) == repr(list(reference_log))
     assert export_telemetry(fast_log) == export_telemetry(reference_log)
-    assert fast._samples == reference._samples
+    # The fast flight keeps no counter: the grid points below its clock less
+    # the tolerance are the ones the loop passed.
+    assert _grid_count(fast.clock - _BOUNDARY_EPS, fast.step, operator.lt) == reference._samples
     assert repr((fast.clock, fast.x, fast.y, fast.z, fast.battery)) == repr(
         (reference.clock, reference.x, reference.y, reference.z, reference.battery))
     # The moves' metres, folded in flying order, are the running total,
@@ -742,7 +759,7 @@ def test_a_hold_that_straddles_a_grid_point_is_a_move_without_rows():
     flight.hold(6e-10)
     assert [(move.first, move.last, move.flown) for move in flight.records] == [
         (1, 0, 0.0), (2, 0, 0.0)]
-    log = TelemetryLog(flight.records)
+    log = TelemetryLog._of(tuple(flight.records))
     assert len(log) == len(list(log)) == 0
     assert log[:] == []
     assert export_telemetry(log) == "t,x,y,z,payload_mass,battery_remaining,event\n"
