@@ -249,12 +249,13 @@ def shortest_paths_from(network: SkywayNetwork, source: str,
 
 def _distinct_nodes(network: SkywayNetwork, name: str, node_ids) -> list[str]:
     """The argument ``name``, ``node_ids``, without repeats in first-seen
-    order, once it is iterable but not a str (else ValidationError: a str
-    would be read one character at a time) and each item names a node
-    (else UnknownNode)."""
+    order, once it is iterable but not a str or bytes-like (else
+    ValidationError: a str would be read one character at a time, and bytes
+    one int at a time) and each item names a node (else UnknownNode)."""
     _require(name, node_ids, abc.Iterable)
-    if isinstance(node_ids, str):
-        raise ValidationError([f"{name}: expected an iterable of node ids, got str"])
+    if isinstance(node_ids, (str, bytes, bytearray, memoryview)):
+        raise ValidationError(
+            [f"{name}: expected an iterable of node ids, got {type(node_ids).__name__}"])
     node_ids = list(node_ids)
     for node_id in node_ids:
         network.node(node_id)

@@ -37,7 +37,9 @@ class Scenario:
     raises the planners' error. The payload is not judged, so an overweight
     scenario builds. ``packages`` is stored as a tuple and the network's
     nodes are read-only, so a scenario stays as it was judged, and
-    ``compare_strategies`` judges it no further."""
+    ``compare_strategies`` judges it no further. ``parse_scenario`` builds
+    through this constructor too, so a parsed manifest is judged here
+    alone; the parser reads a document again only to explain a refusal."""
 
     network: SkywayNetwork
     source: str
@@ -87,25 +89,17 @@ def _block(doc: dict, key: str, problems: list[str]) -> dict:
     return raw
 
 
-def _build(cls, raw, problems: list[str], key: str, index: int | None = None):
-    """Construct ``cls`` from the fields in ``raw``, the document's ``key``
-    (its item ``key[index]`` when ``index`` is given).
-
-    Returns the object, or None when ``raw`` is not an object or a field is
-    missing or breaks one of the class's rules, plus the values of the fields
-    that broke none (``raw`` itself when it builds at the first call). Only
-    a failed first call collects the faults, each behind the item's locator:
-    a value that is not an object, then unknown keys, then missing fields
-    and rule violations in the class's rule order.
+def _diagnose(cls, raw, problems: list[str], key: str, index: int | None = None) -> dict:
+    """Report the faults of ``raw``, the document's ``key`` (its item
+    ``key[index]`` when ``index`` is given), as fields of ``cls``, each
+    behind the item's locator: a value that is not an object, then unknown
+    keys, then missing fields and rule violations in the class's rule order.
+    Returns the values of the fields that broke no rule, defaults included.
     """
-    try:
-        return cls(**raw), raw
-    except (TypeError, ValidationError):
-        pass
     locator = key if index is None else f"{key}[{index}]"
     if not isinstance(raw, dict):
         problems.append(f"{locator}: expected an object")
-        return None, {}
+        return {}
     defaults = _FIELDS[cls]
     _reject_unknown(raw, defaults, locator, problems)
     values: dict = {}
@@ -117,14 +111,9 @@ def _build(cls, raw, problems: list[str], key: str, index: int | None = None):
             missing[name] = f"{name}: missing"
         else:
             values[name] = default
-    if not missing:
-        try:
-            return cls(*values.values()), values
-        except ValidationError:
-            pass
     found = field_violations(cls.RULES, values, missing)
     problems.extend(f"{locator}.{violation}" for violation in found.values())
-    return None, {name: value for name, value in values.items() if name not in found}
+    return {name: value for name, value in values.items() if name not in found}
 
 
 def _ends(raw, index: int, problems: list[str]) -> tuple[str | None, str | None]:
@@ -139,16 +128,82 @@ def _ends(raw, index: int, problems: list[str]) -> tuple[str | None, str | None]
     return _take(raw, "a", locator, problems), _take(raw, "b", locator, problems)
 
 
-def _segment_problems(raw_segments: list, nodes: dict) -> list[str]:
-    """Every fault of the document's segments, item by item: the faults of
-    its shape (see ``_ends``) or, for an item with two ends, the ones
-    ``segment_faults`` finds given the ids in ``nodes``."""
+def _list(doc: dict, key: str) -> list | None:
+    """The list ``doc[key]``, [] when it is absent, or None when it is not a list."""
+    raw = doc.get(key, [])
+    return raw if isinstance(raw, list) else None
+
+
+def _scenario(doc: dict) -> Scenario:
+    """The scenario of ``doc``, built by the constructors and
+    ``build_network`` alone. Raises what they raise, and ValidationError for
+    the document's own shape: an unknown top-level key, ``nodes`` that is not
+    a non-empty list, or ``segments`` or ``packages`` that is not a list."""
+    nodes, segments, packages = (_list(doc, key) for key in ("nodes", "segments", "packages"))
+    if not (doc.keys() <= _TOP_KEYS and nodes and segments is not None and packages is not None):
+        raise ValidationError(["document: not shaped as a scenario"])  # _problems says how
+    # A segment of any shape but a two-key object is None, which the
+    # network's constructor refuses.
+    network = build_network([Node(**raw) for raw in nodes],
+                            [(raw.get("a"), raw.get("b")) if type(raw) is dict and len(raw) == 2
+                             else None for raw in segments])
+    return Scenario(network=network, source=doc.get("source"),
+                    drone=DroneConfig(**doc.get("drone", {})), rig=StringRig(**doc.get("rig", {})),
+                    packages=tuple(Package(**raw) for raw in packages), label=doc.get("label"))
+
+
+def _problems(doc: dict) -> list[str]:
+    """Every fault of ``doc`` that names a document path, in report order,
+    found without calling a constructor: the document's keys, ``label`` and
+    ``source``, each node, each segment, ``drone``, ``rig``, each package,
+    then an unknown source and too few rig levels. Whole-network faults,
+    such as a disconnected graph, are left to ``build_network``."""
     problems: list[str] = []
+    _reject_unknown(doc, _TOP_KEYS, "document", problems)
+    label = doc.get("label")
+    if label is not None and not isinstance(label, str):
+        problems.append("label: expected a string")
+    source = _take(doc, "source", "document", problems)
+
+    # Each id a segment or package may name.
+    node_ids: set[str] = set()
+    raw_nodes = _list(doc, "nodes")
+    if not raw_nodes:
+        problems.append("nodes: expected a non-empty list")
+    for i, raw in enumerate(raw_nodes or []):
+        node_id = _diagnose(Node, raw, problems, "nodes", i).get("id")
+        if node_id is not None:
+            problems.extend(map(str, node_faults(i, node_id, node_ids)))
+            node_ids.add(node_id)
+
+    raw_segments = _list(doc, "segments")
+    if raw_segments is None:
+        problems.append("segments: expected a list")
     seen_pairs: set[tuple[str, str]] = set()
-    for i, raw in enumerate(raw_segments):
+    for i, raw in enumerate(raw_segments or []):
         a, b = _ends(raw, i, problems)
         if a is not None and b is not None:
-            problems.extend(map(str, segment_faults(i, a, b, nodes, seen_pairs)))
+            problems.extend(map(str, segment_faults(i, a, b, node_ids, seen_pairs)))
+
+    _diagnose(DroneConfig, _block(doc, "drone", problems), problems, "drone")
+    rig = _diagnose(StringRig, _block(doc, "rig", problems), problems, "rig")
+
+    raw_packages = _list(doc, "packages")
+    if raw_packages is None:
+        problems.append("packages: expected a list")
+        raw_packages = []
+    package_ids: set[str] = set()
+    for i, raw in enumerate(raw_packages):
+        values = _diagnose(Package, raw, problems, "packages", i)
+        problems.extend(map(str, package_faults(i, values.get("id"), values.get("destination"),
+                                                 source, node_ids, package_ids)))
+
+    if source is not None and node_ids and source not in node_ids:
+        problems.append(f"source: unknown node {source!r}")
+    if rig.keys() == _FIELDS[StringRig].keys():  # no rig field breaks a rule
+        violation = level_violation(len(raw_packages), len(rig["levels"]))
+        if violation is not None:
+            problems.append(f"packages: {violation}")
     return problems
 
 
@@ -161,11 +216,10 @@ def parse_scenario(text: str) -> Scenario:
     parser checks only the document's structure: objects, lists, unknown
     and missing keys. Each field's type and value rules are the ones the
     constructors and ``build_network`` apply, collected for every item.
-    A valid node or package costs one constructor call and one fault
-    check; a valid segment is judged only by the ``SkywayNetwork``
-    constructor. The full violation list is collected only for an item
-    that fails them, and every segment's faults only when some item fails
-    or the constructor raises.
+    A valid document is read once, by the constructors: one call per node,
+    package, ``drone`` and ``rig``, one ``build_network`` and one
+    ``Scenario``. Only a document they refuse is read again, without them,
+    to collect every violation with its document path.
     """
     if not isinstance(text, (str, bytes, bytearray)):
         raise ScenarioSyntaxError(
@@ -177,89 +231,15 @@ def parse_scenario(text: str) -> Scenario:
         # digit limit for int conversion, or arrays or objects nested deeper
         # than the decoder's recursion limit.
         raise ScenarioSyntaxError(f"invalid JSON: {exc}") from exc
-
-    problems: list[str] = []
     if not isinstance(doc, dict):
         raise ValidationError(["document: expected a JSON object at the top level"])
-    _reject_unknown(doc, _TOP_KEYS, "document", problems)
-
-    label = doc.get("label")
-    if label is not None and not isinstance(label, str):
-        problems.append("label: expected a string")
-        label = None
-
-    source = _take(doc, "source", "document", problems)
-
-    # -- nodes ---------------------------------------------------------------
-    # Each id a segment or package may name, with its Node (None when the
-    # node breaks a rule).
-    nodes: dict[str, Node | None] = {}
-    raw_nodes = doc.get("nodes")
-    if not isinstance(raw_nodes, list) or not raw_nodes:
-        problems.append("nodes: expected a non-empty list")
-        raw_nodes = []
-    for i, raw in enumerate(raw_nodes):
-        node, values = _build(Node, raw, problems, "nodes", i)
-        node_id = values.get("id")
-        if node_id is not None:
-            faults = node_faults(i, node_id, nodes)
-            if faults:
-                problems.extend(map(str, faults))
-            nodes[node_id] = node
-
-    # -- segments ------------------------------------------------------------
-    raw_segments = doc.get("segments", [])
-    if not isinstance(raw_segments, list):
-        problems.append("segments: expected a list")
-        raw_segments = []
-    # A failed parse reports every segment's faults here.
-    segments_at = len(problems)
-
-    # -- drone and rig -------------------------------------------------------
-    drone, _ = _build(DroneConfig, _block(doc, "drone", problems), problems, "drone")
-    rig, _ = _build(StringRig, _block(doc, "rig", problems), problems, "rig")
-
-    # -- packages ------------------------------------------------------------
-    packages: list[Package] = []
-    package_ids: set[str] = set()
-    raw_packages = doc.get("packages", [])
-    if not isinstance(raw_packages, list):
-        problems.append("packages: expected a list")
-        raw_packages = []
-    for i, raw in enumerate(raw_packages):
-        package, values = _build(Package, raw, problems, "packages", i)
-        problems.extend(map(str, package_faults(i, values.get("id"), values.get("destination"),
-                                                 source, nodes, package_ids)))
-        if package is not None:
-            packages.append(package)
-
-    if source is not None and nodes and source not in nodes:
-        problems.append(f"source: unknown node {source!r}")
-    if rig is not None:
-        violation = level_violation(len(raw_packages), rig.level_count)
-        if violation is not None:
-            problems.append(f"packages: {violation}")
-
-    network = fault = None
-    if not problems:
-        try:
-            # Without problems every node builds. A segment of any shape but
-            # a two-key object is None, which the constructor refuses.
-            network = SkywayNetwork(nodes, [(raw.get("a"), raw.get("b"))
-                                            if type(raw) is dict and len(raw) == 2 else None
-                                            for raw in raw_segments])
-        except SkywayError as exc:
-            fault = exc
-    if network is None:
-        problems[segments_at:segments_at] = _segment_problems(raw_segments, nodes)
-        if problems:
-            raise ValidationError(problems) from fault
-        # Whole-network faults without a single field to point at, e.g.
-        # a disconnected graph or coincident node positions.
-        raise ValidationError([f"network: {fault}"]) from fault
-    assert source is not None and drone is not None and rig is not None
-    return Scenario(network=network, source=source, drone=drone, rig=rig,
-                    packages=tuple(packages), label=label)
+    try:
+        return _scenario(doc)
+    except (TypeError, SkywayError) as fault:
+        # Without a fault at some document path, the network's is one no
+        # single field points at, e.g. a disconnected graph or coincident
+        # node positions.
+        raise ValidationError(_problems(doc) or [f"network: {fault}"]) from fault
 
 
 # Every stored id is a str and every coordinate a finite float, which JSON

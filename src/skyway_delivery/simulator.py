@@ -23,8 +23,7 @@ from .errors import (BatteryDepleted, InconsistentAssignment, InvalidLevel, Nega
                      NonFiniteLength, ValidationError)
 from .graph import SkywayNetwork, _is_walk
 from .planner import (DroneConfig, HangingAssignment, MissionPlan, Package, _checked,
-                      _compared_plans, _judge, _require_plan, assign_levels, left_to_right_sum,
-                      plan_total_distance)
+                      _compared_plans, _judge, _require_plan, assign_levels, left_to_right_sum)
 from .rules import _require, _type_violation, as_number, check_fields, finite, integer, positive
 
 if TYPE_CHECKING:
@@ -627,7 +626,7 @@ def compare_strategies(scenario: Scenario) -> CompareResult:
         outcomes.append(StrategyOutcome(
             label=plan.strategy_label,
             release_order=plan.release_order,
-            total_distance=plan_total_distance(plan),
+            total_distance=left_to_right_sum(leg.path.total_length for leg in plan.legs),
             total_energy=report.energy.total,
             completed=report.completed,
         ))

@@ -13,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import helpers
-from skyway_delivery import graph, scenario as scenario_module
+from skyway_delivery import graph, planner, scenario as scenario_module
 from skyway_delivery import (
     DroneConfig,
     Node,
@@ -264,6 +264,13 @@ def test_too_many_packages_for_rig():
         {"id": f"p{i}", "mass": 0.5, "destination": "T"} for i in range(4)]
     problems = violations_of(doc(packages=packages))
     assert problems == ["packages: 4 packages exceed the rig's 3 hanging levels"]
+    # The levels are counted when every rig field keeps its rules, whatever
+    # else the rig holds, and not when some field breaks one.
+    assert violations_of(doc(packages=packages, rig={"wind": 1}, drone=5)) == [
+        "drone: expected an object", "rig.wind: unknown key",
+        "packages: 4 packages exceed the rig's 3 hanging levels"]
+    assert violations_of(doc(packages=packages, rig={"clearance": 0})) == [
+        "rig.clearance: must be > 0 (got 0.0)"]
 
 
 def test_duplicate_package_ids():
@@ -803,15 +810,19 @@ def test_one_parse_checks_each_node_and_segment_once(monkeypatch):
 def test_a_valid_document_runs_no_item_diagnosis(monkeypatch):
     text = serialize_scenario(generate_scenario(60, 4, seed=7))
     calls = Counter()
-    for name in ("_reject_unknown", "_take", "field_violations", "_ends"):
+    counted_names = ("_reject_unknown", "_take", "_ends", "field_violations", "_diagnose",
+                     "build_network", "package_faults")
+    for name in counted_names:
         def counted(*args, original=getattr(scenario_module, name), name=name):
             calls[name] += 1
             return original(*args)
-        monkeypatch.setattr(scenario_module, name, counted)
+        for module in (scenario_module, planner):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
     parse_scenario(text)
-    # Only the document's own keys and its source are looked at one by one;
-    # the segments are judged by the network's constructor alone.
-    assert calls == {"_reject_unknown": 1, "_take": 1}
+    # The constructors read the document once: one network build, and one
+    # fault check per package, which is Scenario's own.
+    assert calls == {"build_network": 1, "package_faults": 4}
 
 
 def network_items(text):

@@ -7,6 +7,7 @@ float, so int and float inputs give the same bytes.
 """
 from __future__ import annotations
 
+import copy
 import json
 import math
 
@@ -23,14 +24,16 @@ from skyway_delivery import (
     assign_levels,
     build_network,
     export_telemetry,
+    generate_scenario,
     parse_scenario,
     plan_ndf,
     serialize_report,
     serialize_scenario,
     simulate_mission,
 )
-from skyway_delivery.errors import SkywayError, ValidationError
-from skyway_delivery.scenario import Scenario
+from skyway_delivery.errors import (DisconnectedNetwork, NonFiniteLength, SkywayError,
+                                    ValidationError, ZeroLengthSegment)
+from skyway_delivery.scenario import Scenario, _problems
 
 TWO_NODES = {
     "source": "S",
@@ -256,3 +259,85 @@ def test_int_numbers_give_the_same_bytes_as_floats():
     with_ints, with_floats = fly(n1_scenario(int)), fly(n1_scenario(float))
     assert with_ints == with_floats
     assert '"end_position": [\n    0.0,' in with_ints[1]
+
+
+# The parts of a document that a mutation changes; "[]" is one item of the list.
+_PARTS = ("", "drone", "rig", "rig.levels", "nodes", "nodes[]", "segments", "segments[]",
+          "packages", "packages[]")
+
+
+def _part(draw, doc):
+    """A non-empty object or list in ``doc`` at one of ``_PARTS``, or None."""
+    name = draw(st.sampled_from(_PARTS))
+    part = doc
+    for key in filter(None, name.removesuffix("[]").split(".")):
+        part = part.get(key) if isinstance(part, dict) else None
+    if name.endswith("[]") and isinstance(part, list) and part:
+        part = part[draw(st.integers(0, len(part) - 1))]
+    return part if isinstance(part, (dict, list)) and part else None
+
+
+@st.composite
+def mutated_documents(draw):
+    """Generated scenario documents after one or two mutations: a value
+    replaced, a key dropped, an unknown key added, a node, segment or
+    package repeated, or a segment reshaped."""
+    node_count = draw(st.integers(2, 8))
+    doc = json.loads(serialize_scenario(generate_scenario(
+        node_count, draw(st.integers(0, min(3, node_count - 1))), draw(st.integers(0, 10 ** 6)))))
+    ids = [node["id"] for node in doc["nodes"]]
+    for _ in range(draw(st.integers(1, 2))):
+        part = _part(draw, doc)
+        if part is None:
+            continue
+        key = draw(st.sampled_from(list(part) if isinstance(part, dict) else range(len(part))))
+        mutations = ["replace", "drop"]
+        if isinstance(part, dict):
+            mutations.append("unknown")
+        if any(part is doc.get(items) for items in ("nodes", "segments", "packages")):
+            mutations.append("repeat")
+        if isinstance(part, dict) and part.keys() == {"a", "b"}:
+            mutations.append("reshape")
+        mutation = draw(st.sampled_from(mutations))
+        if mutation == "replace":
+            part[key] = draw(st.one_of(values, st.lists(values, max_size=2),
+                                       st.dictionaries(st.text(max_size=2), values, max_size=2),
+                                       st.just(""), st.sampled_from([*ids, "ghost"])))
+        elif mutation == "drop":
+            del part[key]
+        elif mutation == "unknown":
+            part["wind"] = draw(values)
+        elif mutation == "repeat":
+            part.append(copy.deepcopy(part[key]))
+        else:
+            a, b = part["a"], part["b"]
+            part.clear()
+            part.update(draw(st.sampled_from([
+                {"a": b, "b": a}, {"a": a, "b": a}, {"a": a}, {"a": a, "b": b, "length": 1.0},
+                {"a": a, "b": "ghost"}, {"a": a, "b": draw(st.sampled_from(ids))}])))
+    return doc
+
+
+@given(mutated_documents())
+def test_the_parse_and_its_explanation_agree(doc):
+    """A document is refused with exactly the faults ``_problems`` finds;
+    one without any is refused only with ``build_network``'s fault, or
+    parses to the scenario its items build in Python."""
+    text = json.dumps(doc)
+    problems = _problems(doc)
+    if problems:
+        assert document_violations(text) == problems
+        return
+    nodes = [(n["id"], n["x"], n["y"], n.get("rooftop_height", 0.0)) for n in doc["nodes"]]
+    try:
+        network = build_network(nodes, [(s["a"], s["b"]) for s in doc.get("segments", [])])
+    except SkywayError as exc:
+        # A fault of the whole network, which no document path names.
+        assert isinstance(exc, (DisconnectedNetwork, NonFiniteLength, ZeroLengthSegment))
+        assert document_violations(text) == [f"network: {exc}"]
+        return
+    assert parse_scenario(text) == Scenario(
+        network, doc["source"], DroneConfig(**doc.get("drone", {})),
+        StringRig(**doc.get("rig", {})),
+        tuple(Package(p["id"], p["mass"], p["destination"]) for p in doc.get("packages", [])),
+        doc.get("label"))
