@@ -1,10 +1,10 @@
 """Single-drone multi-package delivery over skyway networks.
 
 The package splits into four pieces: ``graph`` (the rooftop network),
-``planner`` (release-order strategies), ``simulator`` (kinematic mission
-execution, its telemetry and CSV export, and the payload-linear energy
-model) and ``scenario``/``cli`` (document I/O and the command-line front
-end).
+``planner`` (release-order strategies), ``simulator`` (the ``Scenario``
+bundle, kinematic mission execution, its telemetry and CSV export, and the
+payload-linear energy model) and ``scenario``/``cli`` (documents only, and
+the command-line front end).
 """
 from __future__ import annotations
 
@@ -36,7 +36,6 @@ from .planner import (
     plan_total_distance,
 )
 from .scenario import (
-    Scenario,
     generate_scenario,
     parse_scenario,
     serialize_report,
@@ -49,6 +48,7 @@ from .simulator import (
     EnergyBreakdown,
     LegEnergy,
     MissionReport,
+    Scenario,
     StrategyOutcome,
     StringRig,
     TelemetryLog,

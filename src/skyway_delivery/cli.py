@@ -15,14 +15,9 @@ from pathlib import Path
 from .errors import InfeasiblePayload, ScenarioSyntaxError, SkywayError
 from .planner import PLANNERS, MissionPlan, assign_levels, plan_total_distance
 from .rules import _require
-from .scenario import (
-    Scenario,
-    generate_scenario,
-    parse_scenario,
-    serialize_report,
-    serialize_scenario,
-)
-from .simulator import DEFAULT_TELEMETRY_STEP, _csv_chunks, compare_strategies, simulate_mission
+from .scenario import generate_scenario, parse_scenario, serialize_report, serialize_scenario
+from .simulator import (DEFAULT_TELEMETRY_STEP, Scenario, _csv_chunks, compare_strategies,
+                        simulate_mission)
 
 
 def _plan(scenario: Scenario, strategy: str) -> MissionPlan:

@@ -24,7 +24,8 @@ from .errors import (
     ValidationError,
     ZeroLengthSegment,
 )
-from .rules import _require, as_number, check_fields, finite, non_empty, non_negative
+from .rules import (_require, as_number, check_fields, field_violations, finite, non_empty,
+                    non_negative)
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,6 +60,8 @@ class Segment(NamedTuple):
     b: str
     length: float
 
+    RULES = (("a", non_empty), ("b", non_empty))
+
 
 class Path(NamedTuple):
     """A walk through the network; a single-node path has total_length 0."""
@@ -76,11 +79,11 @@ class SkywayNetwork:
     Built, also through ``replace``, from any Mapping of nodes, which it
     keeps as a read-only ``MappingProxyType`` over its own copy, and any
     iterable of (a, b) pairs or (a, b, length) rows. The first row at fault
-    raises: ValidationError for a row of the wrong shape or an empty end,
-    the fault ``segment_faults`` finds, ZeroLengthSegment or
-    NonFiniteLength, or ValidationError for a length other than the
-    measured one. Then a node the first one cannot reach raises
-    DisconnectedNetwork.
+    raises: ValidationError for a row of the wrong shape or an end that
+    breaks ``Segment.RULES``, the fault ``segment_faults`` finds,
+    ZeroLengthSegment or NonFiniteLength, or ValidationError for a length
+    other than the measured one. Then a node the first one cannot reach
+    raises DisconnectedNetwork.
 
     The search index numbers the nodes in id order: ``_ids`` maps each
     number to its id, ``_rank`` each id to its number, and ``_links`` each
@@ -108,9 +111,9 @@ class SkywayNetwork:
             else:
                 raise ValidationError(
                     [f"segments[{i}]: expected an (a, b) pair or an (a, b, length) row"])
-            if not (isinstance(a, str) and a and isinstance(b, str) and b):
-                raise ValidationError(v for v in (non_empty(f"segments[{i}].a", a),
-                                                  non_empty(f"segments[{i}].b", b)) if v)
+            if not (isinstance(a, str) and a and isinstance(b, str) and b):  # Segment.RULES
+                raise ValidationError(f"segments[{i}].{v}" for v in field_violations(
+                    Segment.RULES, {"a": a, "b": b}).values())
             faults = segment_faults(i, a, b, nodes, seen_pairs)
             if faults:
                 raise faults[0]

@@ -1,24 +1,23 @@
-"""Scenario documents: JSON parsing, serialization, seeded generation.
+"""Scenario documents (parse, serialize, generate) and the report's JSON.
 
-A scenario bundles everything one mission needs: the network, the source
-node, the drone, the hanging rig and the packages. Parsing collects every
-violation it can find and reports them together, each with a path-like
-locator such as ``packages[2].mass``.
+A document holds what a ``Scenario`` (see ``simulator``) bundles. Parsing
+collects every violation it can find and reports them together, each with
+a path-like locator such as ``packages[2].mass``.
 """
 from __future__ import annotations
 
 import json
 import math
 import random
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, fields
 from json.encoder import encode_basestring_ascii as _json_string
 
 from .errors import InvalidParams, ScenarioSyntaxError, SkywayError, ValidationError
-from .graph import Node, SkywayNetwork, build_network, node_faults, segment_faults
-from .planner import DroneConfig, Package, _checked, _judge, level_violation, package_faults
+from .graph import Node, Segment, build_network, node_faults, segment_faults
+from .planner import DroneConfig, Package, level_violation, package_faults
 from .rules import (_require, _type_violation, as_number, field_violations, integer, non_empty,
                     numeric)
-from .simulator import EnergyBreakdown, LegEnergy, MissionReport, StringRig
+from .simulator import EnergyBreakdown, LegEnergy, MissionReport, Scenario, StringRig
 
 # The most nodes generate_scenario draws. On a shared 2-core VM (Python
 # 3.11), 100,000 nodes take 1.5-3 s and peak at about 170 MB RSS; 20,000
@@ -26,43 +25,13 @@ from .simulator import EnergyBreakdown, LegEnergy, MissionReport, StringRig
 _NODE_CAP = 100_000
 
 _TOP_KEYS = {"label", "source", "nodes", "segments", "drone", "rig", "packages"}
-_SEGMENT_KEYS = {"a", "b"}
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """One mission's inputs, judged once, when built (also through
-    ``dataclasses.replace``): a field of the wrong type raises
-    ValidationError; an unknown source, a package fault or too few rig levels
-    raises the planners' error. The payload is not judged, so an overweight
-    scenario builds. ``packages`` is stored as a tuple and the network's
-    nodes are read-only, so a scenario stays as it was judged, and
-    ``compare_strategies`` judges it no further. ``parse_scenario`` builds
-    through this constructor too, so a parsed manifest is judged here
-    alone; the parser reads a document again only to explain a refusal."""
-
-    network: SkywayNetwork
-    source: str
-    drone: DroneConfig
-    rig: StringRig
-    packages: tuple[Package, ...]
-    label: str | None = None
-
-    def __post_init__(self):
-        _judge(None, self.packages, None, [  # a scenario's drone may not be None
-            _type_violation("network", self.network, SkywayNetwork),
-            _type_violation("source", self.source, str),
-            None if self.label is None else _type_violation("label", self.label, str),
-            _type_violation("rig", self.rig, StringRig),
-            _type_violation("drone", self.drone, DroneConfig)])
-        object.__setattr__(self, "packages", tuple(self.packages))
-        _checked(self.network, self.source, self.packages, None, self.rig.level_count)
-
-
-# Each constructor argument's name and default. The type and value rules
-# are the class's own ``RULES``.
+# Each item's keys and their defaults: a constructor's arguments, and a
+# segment's two ends. The type and value rules are the class's own ``RULES``.
 _FIELDS = {cls: {f.name: f.default for f in fields(cls)}
            for cls in (Node, DroneConfig, StringRig, Package)}
+_FIELDS[Segment] = {name: MISSING for name, _ in Segment.RULES}
 
 
 def _take(obj: dict, key: str, locator: str, problems: list[str]) -> str | None:
@@ -91,7 +60,8 @@ def _block(doc: dict, key: str, problems: list[str]) -> dict:
 
 def _diagnose(cls, raw, problems: list[str], key: str, index: int | None = None) -> dict:
     """Report the faults of ``raw``, the document's ``key`` (its item
-    ``key[index]`` when ``index`` is given), as fields of ``cls``, each
+    ``key[index]`` when ``index`` is given), as fields of ``cls``: a
+    constructor's arguments, or a ``Segment``'s two ends. Each fault is
     behind the item's locator: a value that is not an object, then unknown
     keys, then missing fields and rule violations in the class's rule order.
     Returns the values of the fields that broke no rule, defaults included.
@@ -114,18 +84,6 @@ def _diagnose(cls, raw, problems: list[str], key: str, index: int | None = None)
     found = field_violations(cls.RULES, values, missing)
     problems.extend(f"{locator}.{violation}" for violation in found.values())
     return {name: value for name, value in values.items() if name not in found}
-
-
-def _ends(raw, index: int, problems: list[str]) -> tuple[str | None, str | None]:
-    """The endpoints of segment ``index``, each None after its fault is
-    reported: a value that is not an object, then unknown keys, then a
-    missing or empty endpoint."""
-    locator = f"segments[{index}]"
-    if not isinstance(raw, dict):
-        problems.append(f"{locator}: expected an object")
-        return None, None
-    _reject_unknown(raw, _SEGMENT_KEYS, locator, problems)
-    return _take(raw, "a", locator, problems), _take(raw, "b", locator, problems)
 
 
 def _list(doc: dict, key: str) -> list | None:
@@ -181,9 +139,9 @@ def _problems(doc: dict) -> list[str]:
         problems.append("segments: expected a list")
     seen_pairs: set[tuple[str, str]] = set()
     for i, raw in enumerate(raw_segments or []):
-        a, b = _ends(raw, i, problems)
-        if a is not None and b is not None:
-            problems.extend(map(str, segment_faults(i, a, b, node_ids, seen_pairs)))
+        ends = _diagnose(Segment, raw, problems, "segments", i)
+        if len(ends) == 2:  # neither end breaks a rule
+            problems.extend(map(str, segment_faults(i, ends["a"], ends["b"], node_ids, seen_pairs)))
 
     _diagnose(DroneConfig, _block(doc, "drone", problems), problems, "drone")
     rig = _diagnose(StringRig, _block(doc, "rig", problems), problems, "rig")

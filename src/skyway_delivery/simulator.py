@@ -1,12 +1,13 @@
 """Kinematic mission execution: take-off, cruise, descend-release, return.
 
-Motion is sequential (vertical then horizontal) at piecewise-constant speed
-with instantaneous turns. Energy is payload-linear: every metre of 3D travel
-costs ``consumption_rate`` joules, and hovering during the release dwell is
-free. The battery is one float that the flight spends down. The flight's
+A ``Scenario`` holds one mission's inputs. Motion is sequential (vertical
+then horizontal) at piecewise-constant speed with instantaneous turns.
+Energy is payload-linear: every metre of 3D travel costs
+``consumption_rate`` joules, and hovering during the release dwell is free.
+The battery is one float that the flight spends down. The flight's
 telemetry is a ``TelemetryLog``, which ``export_telemetry`` writes as CSV.
-``compare_strategies`` flies the NDF and the exhaustive plan of one scenario
-side by side.
+``compare_strategies`` flies the NDF and the exhaustive plan of one
+scenario side by side.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from bisect import bisect_right
 from collections import abc
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (BatteryDepleted, InconsistentAssignment, InvalidLevel, NegativePayload,
                      NonFiniteLength, ValidationError)
@@ -25,9 +26,6 @@ from .graph import SkywayNetwork, _is_walk
 from .planner import (DroneConfig, HangingAssignment, MissionPlan, Package, _checked,
                       _compared_plans, _judge, _require_plan, assign_levels, left_to_right_sum)
 from .rules import _require, _type_violation, as_number, check_fields, finite, integer, positive
-
-if TYPE_CHECKING:
-    from .scenario import Scenario
 
 DEFAULT_RELEASE_DWELL = 2.0   # seconds of rebound pause before a package drops free
 DEFAULT_TELEMETRY_STEP = 0.1  # seconds between interval samples
@@ -77,6 +75,36 @@ class StringRig:
         if not 1 <= level <= len(self.levels):
             raise InvalidLevel(f"level {level} outside 1..{len(self.levels)}")
         return self.levels[level - 1]
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One mission's inputs, judged once, when built (also through
+    ``dataclasses.replace``): a field of the wrong type raises
+    ValidationError; an unknown source, a package fault or too few rig levels
+    raises the planners' error. The payload is not judged, so an overweight
+    scenario builds. ``packages`` is stored as a tuple and the network's
+    nodes are read-only, so a scenario stays as it was judged, and
+    ``compare_strategies`` judges it no further. ``parse_scenario`` builds
+    through this constructor too, so a parsed manifest is judged here
+    alone; the parser reads a document again only to explain a refusal."""
+
+    network: SkywayNetwork
+    source: str
+    drone: DroneConfig
+    rig: StringRig
+    packages: tuple[Package, ...]
+    label: str | None = None
+
+    def __post_init__(self):
+        _judge(None, self.packages, None, [  # a scenario's drone may not be None
+            _type_violation("network", self.network, SkywayNetwork),
+            _type_violation("source", self.source, str),
+            None if self.label is None else _type_violation("label", self.label, str),
+            _type_violation("rig", self.rig, StringRig),
+            _type_violation("drone", self.drone, DroneConfig)])
+        object.__setattr__(self, "packages", tuple(self.packages))
+        _checked(self.network, self.source, self.packages, None, self.rig.level_count)
 
 
 class TelemetryRecord(NamedTuple):
@@ -615,8 +643,6 @@ def compare_strategies(scenario: Scenario) -> CompareResult:
     telemetry samples. It judges only that ``scenario`` is a Scenario (else
     ValidationError), which judged its fields when it was built.
     """
-    from .scenario import Scenario  # scenario.py imports this module
-
     _require("scenario", scenario, Scenario)
     outcomes = []
     for plan in _compared_plans(scenario.network, scenario.source, scenario.packages,

@@ -810,7 +810,7 @@ def test_one_parse_checks_each_node_and_segment_once(monkeypatch):
 def test_a_valid_document_runs_no_item_diagnosis(monkeypatch):
     text = serialize_scenario(generate_scenario(60, 4, seed=7))
     calls = Counter()
-    counted_names = ("_reject_unknown", "_take", "_ends", "field_violations", "_diagnose",
+    counted_names = ("_reject_unknown", "_take", "field_violations", "_diagnose",
                      "build_network", "package_faults")
     for name in counted_names:
         def counted(*args, original=getattr(scenario_module, name), name=name):
