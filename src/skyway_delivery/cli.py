@@ -31,7 +31,10 @@ def _load_scenario(path: str) -> Scenario:
     except UnicodeDecodeError as exc:
         raise ScenarioSyntaxError(
             f"{path}: not UTF-8 text ({exc.reason} at offset {exc.start})") from exc
-    return parse_scenario(text)
+    # A leading byte-order mark is skipped, as json.loads skips it in bytes.
+    # The utf-8-sig codec would skip it too, but count an error's offset from
+    # after the mark rather than from the start of the file.
+    return parse_scenario(text.removeprefix("\ufeff"))
 
 
 def _format_order(release_order: tuple[str, ...]) -> str:

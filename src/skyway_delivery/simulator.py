@@ -205,7 +205,8 @@ class TelemetryLog(abc.Sequence):
     The log holds one run per event (the record itself) and per move (its
     samples as a ``_Move``), so its memory grows with the number of moves,
     not of rows. ``list(log)`` gives the records as a list; a slice is a
-    list too.
+    list too. An index that is neither an int nor a slice of ints raises
+    ValidationError.
     """
 
     __slots__ = ("_runs", "_ends")
@@ -246,9 +247,13 @@ class TelemetryLog(abc.Sequence):
                 yield run
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = operator.index(index)
+        try:
+            if isinstance(index, slice):
+                return [self[i] for i in range(*index.indices(len(self)))]
+            i = operator.index(index)
+        except TypeError:
+            raise ValidationError([f"index: expected an int or a slice of ints, "
+                                   f"got {type(index).__name__}"]) from None
         if i < 0:
             i += len(self)
         if not 0 <= i < len(self):

@@ -415,6 +415,23 @@ def test_non_utf8_scenario_file_exits_two(capsys, tmp_path, command):
     assert err == f"error: {path}: not UTF-8 text (invalid start byte at offset 0)\n"
 
 
+def test_a_scenario_file_with_a_byte_order_mark_plans_as_without_one(capsys, tmp_path,
+                                                                    scenario_dir):
+    marked = tmp_path / "n1.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + (scenario_dir / "n1.json").read_bytes())
+    marked_run = run_cli(capsys, "plan", str(marked))
+    assert marked_run == run_cli(capsys, "plan", str(scenario_dir / "n1.json"))
+    assert marked_run[0] == 0
+
+
+def test_an_offset_past_a_byte_order_mark_counts_from_the_start_of_the_file(capsys, tmp_path):
+    path = tmp_path / "marked.json"
+    path.write_bytes(b"\xef\xbb\xbf{\"a\": 1\xff}")
+    code, out, err = run_cli(capsys, "plan", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: not UTF-8 text (invalid start byte at offset 10)\n"
+
+
 @pytest.mark.parametrize("command", ["plan", "run", "compare"])
 def test_deeply_nested_json_exits_two(capsys, tmp_path, command):
     path = tmp_path / "deep.json"

@@ -140,9 +140,11 @@ def test_a_wrong_argument_raises_a_package_error_or_returns(name, data):
 _N1 = helpers.build_n1()
 _N1_SCENARIO = sd.parse_scenario((ROOT / "scenarios" / "n1.json").read_text(encoding="utf-8"))
 _N1_PLAN = sd.plan_ndf(_N1, "S", helpers.N1_PACKAGES)
-# The n1 flight's own runs: TAKEOFF, ASCEND, then the climb as one move.
-_N1_RUNS = sd.simulate_mission(_N1, _N1_PLAN, sd.assign_levels(_N1_PLAN), sd.DroneConfig(),
-                               sd.StringRig(), helpers.N1_PACKAGES)[0]._runs
+# The n1 flight's log, and its own runs: TAKEOFF, ASCEND, then the climb as
+# one move.
+_N1_LOG = sd.simulate_mission(_N1, _N1_PLAN, sd.assign_levels(_N1_PLAN), sd.DroneConfig(),
+                              sd.StringRig(), helpers.N1_PACKAGES)[0]
+_N1_RUNS = _N1_LOG._runs
 
 
 @pytest.mark.parametrize("call, text", [
@@ -194,6 +196,9 @@ _N1_RUNS = sd.simulate_mission(_N1, _N1_PLAN, sd.assign_levels(_N1_PLAN), sd.Dro
     (lambda: sd.cli_main(5), "argv: expected a list, got int"),
     (lambda: sd.cli_main(["plan", 1]), "argv[1]: expected a str, got int"),
     (lambda: sd.TelemetryLog(5), "log: expected a Sequence, got int"),
+    (lambda: _N1_LOG[1.0], "index: expected an int or a slice of ints, got float"),
+    (lambda: _N1_LOG["a"], "index: expected an int or a slice of ints, got str"),
+    (lambda: _N1_LOG[1.0:2], "index: expected an int or a slice of ints, got slice"),
     # The containers that the writers read judge what they hold.
     (lambda: sd.export_telemetry([sd.TelemetryRecord("x", 0, 0, 0, 0, 0)]),
      "log[0].t: expected a number, got str"),

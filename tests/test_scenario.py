@@ -780,6 +780,19 @@ PINNED_VIOLATIONS = [
      ["segments[0].length: unknown key"]),
     ("segment_numeric_endpoint", doc(segments=[{"a": 7, "b": "T"}]),
      ["segments[0].a: expected a non-empty string"]),
+    # A segment is diagnosed as every other item is: its shape, unknown keys,
+    # then each end in order, and only two good ends reach segment_faults.
+    ("segment_a_number", doc(segments=[SEG_ST, 5]),
+     ["segments[1]: expected an object"]),
+    ("segment_a_three_value_list", doc(segments=[["S", "T", 10.0]]),
+     ["segments[0]: expected an object"]),
+    ("segment_numeric_end_and_a_known_end", doc(segments=[{"a": 5, "b": "S"}]),
+     ["segments[0].a: expected a non-empty string"]),
+    ("segment_empty_object", doc(segments=[{}]),
+     ["segments[0].a: missing", "segments[0].b: missing"]),
+    ("segment_unknown_key_between_bad_ends", doc(segments=[{"b": None, "x": 1, "a": ""}]),
+     ["segments[0].x: unknown key", "segments[0].a: expected a non-empty string",
+      "segments[0].b: expected a non-empty string"]),
 ]
 
 

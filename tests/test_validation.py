@@ -12,7 +12,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import helpers
@@ -261,14 +261,21 @@ def test_int_numbers_give_the_same_bytes_as_floats():
     assert '"end_position": [\n    0.0,' in with_ints[1]
 
 
-# The parts of a document that a mutation changes; "[]" is one item of the list.
-_PARTS = ("", "drone", "rig", "rig.levels", "nodes", "nodes[]", "segments", "segments[]",
-          "packages", "packages[]")
+# The parts of a document that each item mutation changes; "[]" is one
+# item of the list.
+_ANY_PART = ("", "drone", "rig", "rig.levels", "nodes", "nodes[]", "segments", "segments[]",
+             "packages", "packages[]")
+_PARTS = {"replace": _ANY_PART, "drop": _ANY_PART,
+          "unknown": ("", "drone", "rig", "nodes[]", "segments[]", "packages[]"),
+          "repeat": ("nodes", "segments", "packages"), "reshape": ("segments[]",)}
+# The top-level values a mutation may give the wrong shape, and the shapes.
+_BLOCKS = ("nodes", "segments", "packages", "drone", "rig")
+_WRONG_SHAPES = ({}, [], "", 7)
 
 
-def _part(draw, doc):
-    """A non-empty object or list in ``doc`` at one of ``_PARTS``, or None."""
-    name = draw(st.sampled_from(_PARTS))
+def _part(draw, doc, names):
+    """A non-empty object or list in ``doc`` at one of ``names``, or None."""
+    name = draw(st.sampled_from(names))
     part = doc
     for key in filter(None, name.removesuffix("[]").split(".")):
         part = part.get(key) if isinstance(part, dict) else None
@@ -281,24 +288,32 @@ def _part(draw, doc):
 def mutated_documents(draw):
     """Generated scenario documents after one or two mutations: a value
     replaced, a key dropped, an unknown key added, a node, segment or
-    package repeated, or a segment reshaped."""
+    package repeated, a segment reshaped, a ``source`` that names no node,
+    or one of ``_BLOCKS`` replaced by one of ``_WRONG_SHAPES``."""
     node_count = draw(st.integers(2, 8))
     doc = json.loads(serialize_scenario(generate_scenario(
         node_count, draw(st.integers(0, min(3, node_count - 1))), draw(st.integers(0, 10 ** 6)))))
     ids = [node["id"] for node in doc["nodes"]]
     for _ in range(draw(st.integers(1, 2))):
-        part = _part(draw, doc)
-        if part is None:
+        mutation = draw(st.sampled_from(("source", "block", "crowd", *_PARTS)))
+        if mutation == "source":
+            doc["source"] = draw(st.sampled_from(["ghost", "", 7, None]))
+            continue
+        if mutation == "block":
+            doc[draw(st.sampled_from(_BLOCKS))] = copy.deepcopy(draw(st.sampled_from(_WRONG_SHAPES)))
+            continue
+        if mutation == "crowd":  # fewer rig levels than packages
+            rig, packages = doc.get("rig"), doc.get("packages")
+            if isinstance(rig, dict) and isinstance(packages, list) and packages:
+                rig["levels"] = [float(len(packages) - i) for i in range(1, len(packages))]
+            continue
+        part = _part(draw, doc, _PARTS[mutation])
+        # An earlier mutation may have left no part that this one applies to.
+        if part is None or (mutation == "unknown" and not isinstance(part, dict)):
+            continue
+        if mutation == "reshape" and not (isinstance(part, dict) and part.keys() == {"a", "b"}):
             continue
         key = draw(st.sampled_from(list(part) if isinstance(part, dict) else range(len(part))))
-        mutations = ["replace", "drop"]
-        if isinstance(part, dict):
-            mutations.append("unknown")
-        if any(part is doc.get(items) for items in ("nodes", "segments", "packages")):
-            mutations.append("repeat")
-        if isinstance(part, dict) and part.keys() == {"a", "b"}:
-            mutations.append("reshape")
-        mutation = draw(st.sampled_from(mutations))
         if mutation == "replace":
             part[key] = draw(st.one_of(values, st.lists(values, max_size=2),
                                        st.dictionaries(st.text(max_size=2), values, max_size=2),
@@ -319,6 +334,16 @@ def mutated_documents(draw):
 
 
 @given(mutated_documents())
+# Documents that would parse but for one fault at one key, which the
+# generated ones seldom hold alone.
+@example(dict(TWO_NODES, source="ghost"))
+@example(dict(ONE_NODE, segments={}))
+@example(dict(TWO_NODES, packages={}))
+@example(dict(TWO_NODES, nodes=[]))
+@example(dict(TWO_NODES, wind=1))
+@example({key: value for key, value in TWO_NODES.items() if key != "source"})
+@example(dict(TWO_NODES, segments=[{"a": "S", "b": "T", "length": 10.0}]))
+@example(dict(TWO_NODES, packages=[{"id": "p", "mass": 1.0, "destination": "S"}]))
 def test_the_parse_and_its_explanation_agree(doc):
     """A document is refused with exactly the faults ``_problems`` finds;
     one without any is refused only with ``build_network``'s fault, or
