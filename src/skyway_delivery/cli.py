@@ -32,8 +32,7 @@ def _load_scenario(path: str) -> Scenario:
         raise ScenarioSyntaxError(
             f"{path}: not UTF-8 text ({exc.reason} at offset {exc.start})") from exc
     # A leading byte-order mark is skipped, as json.loads skips it in bytes.
-    # The utf-8-sig codec would skip it too, but count an error's offset from
-    # after the mark rather than from the start of the file.
+    # Not by the utf-8-sig codec, which counts an error's offset after it.
     return parse_scenario(text.removeprefix("\ufeff"))
 
 

@@ -26,7 +26,6 @@ _NODE_CAP = 100_000
 
 _TOP_KEYS = {"label", "source", "nodes", "segments", "drone", "rig", "packages"}
 
-
 # Each item's keys and their defaults: a constructor's arguments, and a
 # segment's two ends. The type and value rules are the class's own ``RULES``.
 _FIELDS = {cls: {f.name: f.default for f in fields(cls)}
