@@ -308,10 +308,9 @@ def mutated_documents(draw):
                 rig["levels"] = [float(len(packages) - i) for i in range(1, len(packages))]
             continue
         part = _part(draw, doc, _PARTS[mutation])
-        # An earlier mutation may have left no part that this one applies to.
-        if part is None or (mutation == "unknown" and not isinstance(part, dict)):
-            continue
-        if mutation == "reshape" and not (isinstance(part, dict) and part.keys() == {"a", "b"}):
+        # An earlier mutation may have left no part of the kind this one needs.
+        needs = {"repeat": list, "unknown": dict, "reshape": dict}.get(mutation, (dict, list))
+        if not isinstance(part, needs) or (mutation == "reshape" and part.keys() != {"a", "b"}):
             continue
         key = draw(st.sampled_from(list(part) if isinstance(part, dict) else range(len(part))))
         if mutation == "replace":
