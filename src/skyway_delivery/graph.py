@@ -361,11 +361,12 @@ def stop_matrix(network: SkywayNetwork, stops: Iterable[str]) -> dict[str, dict[
     """Shortest paths between every pair of ``stops``: ``matrix[a][b]`` runs a to b.
 
     One Dijkstra per distinct stop, first stop first, each ending once every
-    stop is settled. Raises what ``shortest_paths_from`` does.
+    stop is settled, each row keyed in stop order. Raises what ``shortest_paths_from`` does.
     """
     _require("network", network, SkywayNetwork)
     distinct = _distinct_nodes(network, "stops", stops)
-    return {stop: shortest_paths_from(network, stop, distinct) for stop in distinct}
+    rows = {stop: _settle(network, stop, distinct) for stop in distinct}
+    return {stop: {b: row[b] for b in distinct} for stop, row in rows.items()}
 
 
 def shortest_path(network: SkywayNetwork, start: str, goal: str) -> Path:

@@ -19,7 +19,7 @@ from .errors import (
 )
 from .rules import (_require, _type_violation, as_number, check_fields, finite, integer,
                     non_empty, non_negative, numeric, positive)
-from .graph import Path, SkywayNetwork, _settle, shortest_path, stop_matrix
+from .graph import Path, SkywayNetwork, _settle, stop_matrix
 
 # The largest manifest the Held–Karp planner takes. Each package more
 # about doubles its time and memory: on a 2-core VM (Python 3.11),
@@ -121,7 +121,8 @@ def _judge(drone: DroneConfig | None, packages: Sequence[Package],
     else:
         violations.append(f"packages: expected a sequence of packages, "
                           f"got {type(packages).__name__}")
-    violations.append(None if level_count is None else integer("level_count", level_count))
+    violations.append(None if level_count is None else integer("level_count", level_count)
+                      or level_count < 0 and f"level_count: must be >= 0 (got {level_count})")
     if any(violations):
         raise ValidationError(filter(None, violations))
 
@@ -209,15 +210,22 @@ def plan_ndf(network: SkywayNetwork, source: str, packages: Sequence[Package], *
     return leg to the source.
     """
     _judge(drone, packages, level_count, [_type_violation("network", network, SkywayNetwork)])
-    left = _checked(network, source, packages, drone, level_count)
+    return _ndf(source, _checked(network, source, packages, drone, level_count),
+                lambda at, stops: _settle(network, at, stops, nearest=True))
+
+
+def _ndf(source: str, left: list[Package], nearest_from) -> MissionPlan:
+    """``plan_ndf``'s plan of ``left``, the packages in id order, which it
+    empties; ``nearest_from(at, stops)`` gives the paths from ``at`` to those
+    of ``stops`` at the least distance, bit for bit."""
     legs: list[Leg] = []
     at = source
     while left:
-        nearest = _settle(network, at, {p.destination for p in left}, nearest=True)
+        nearest = nearest_from(at, {p.destination for p in left})
         package = left.pop(next(i for i, p in enumerate(left) if p.destination in nearest))
         legs.append(Leg(nearest[package.destination], package.id))
         at = package.destination
-    legs.append(Leg(shortest_path(network, at, source), None))
+    legs.append(Leg(nearest_from(at, {source})[source], None))
     return MissionPlan(source=source, legs=tuple(legs), strategy_label="ndf")
 
 
@@ -243,10 +251,15 @@ def _compared_plans(network: SkywayNetwork, source: str, packages: Sequence[Pack
     the caller, both read off one stop matrix.
 
     NDF's bounded searches settle the same nodes in the same order as the
-    matrix's full ones, so the nearest-first order over the matrix is its plan.
+    matrix's full ones, so the nearest stops are those at the least distance in a row.
     """
     ordered, paths, dist = _stop_paths(network, source, packages, drone, level_count)
-    return (_plan_over(source, ordered, paths, _nearest_first(dist), "ndf"),
+
+    def nearest_from(at: str, stops: set[str]) -> dict[str, Path]:
+        row = paths[at]
+        least = min(row[stop].total_length for stop in stops)
+        return {stop: row[stop] for stop in stops if row[stop].total_length == least}
+    return (_ndf(source, list(ordered), nearest_from),
             _plan_over(source, ordered, paths, optimal_order(dist)[0], "exhaustive"))
 
 
@@ -282,20 +295,6 @@ def _plan_over(source: str, ordered: list[Package], paths: dict[str, dict[str, P
         at = package.destination
     legs.append(Leg(paths[at][source], None))
     return MissionPlan(source=source, legs=tuple(legs), strategy_label=label)
-
-
-def _nearest_first(dist: Sequence[Sequence[float]]) -> tuple[int, ...]:
-    """From stop 0, always on to the nearest stop not yet visited.
-
-    A tie goes to the smaller stop; a repeated destination is a 0.0 entry,
-    so it is taken next.
-    """
-    order = [0]
-    left = list(range(1, len(dist)))
-    while left:
-        order.append(min(left, key=dist[order[-1]].__getitem__))
-        left.remove(order[-1])
-    return tuple(order[1:])
 
 
 # The strategies by their CLI name. The CLI's ``plan`` and ``run`` look a
@@ -467,14 +466,19 @@ def _bits_float(bits: int) -> float:
 
 def _require_plan(plan) -> None:
     """Raise ValidationError unless ``plan`` is a MissionPlan of a tuple of
-    Legs, each with a Path of a numeric total_length and a release of None or a non-empty str."""
+    Legs, each with a Path whose total_length is a number >= 0 and a release
+    of None or a non-empty str. A total of +inf passes: finite segments can
+    add up past the largest float."""
     _require("plan", plan, MissionPlan)
     _require("plan.legs", plan.legs, tuple)
     for i, leg in enumerate(plan.legs):
         name = f"plan.legs[{i}]"
         _require(name, leg, Leg)
         _require(f"{name}.path", leg.path, Path)
-        violation = (numeric(f"{name}.path.total_length", leg.path.total_length)
+        length = leg.path.total_length
+        violation = (numeric(f"{name}.path.total_length", length)
+                     or not as_number(length) >= 0
+                     and f"{name}.path.total_length: must be a number >= 0 (got {length!r})"
                      or leg.release is not None and non_empty(f"{name}.release", leg.release))
         if violation:
             raise ValidationError([violation])

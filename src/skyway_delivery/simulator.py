@@ -580,7 +580,7 @@ def _fly(network: SkywayNetwork, plan: MissionPlan, drone: DroneConfig, rig: Str
             # The cruise keeps the lowest loaded package clear of every rooftop
             # under the leg. The i-th release hangs at level i, so the lowest
             # loaded level is the one after the releases made so far.
-            hang = rig.hang(len(releases) + 1) if len(releases) < len(order) else 0.0
+            hang = rig.levels[len(releases)] if len(releases) < len(order) else 0.0
             altitude = max(stop.rooftop_height for stop in stops) + hang + rig.clearance
             dz = altitude - flight.z
             if dz != 0.0:

@@ -4,12 +4,10 @@ The oracles deliberately avoid the library's own algorithms: path minima come
 from exhaustive DFS over simple paths, so Dijkstra has something independent
 to agree with; exact tie-breaking comes from a Dijkstra whose heap entries
 carry whole walks and that pushes every one of them, so the pruned one
-does; NDF plans come from the nearest-first rule over the full stop
-matrix, so the bounded search
-does (the rule is the planner's own ``_nearest_first``, which compare
-uses; ``test_ndf_matches_greedy_over_full_dijkstra_runs`` shares no code
-with the planner); optimal release orders come from scoring every
-permutation, so the Held–Karp planner does; a compare comes from the two
+does; NDF plans come from the nearest-first rule written out over the
+full stop matrix, so the bounded search does; optimal release orders
+come from scoring every permutation, so the Held–Karp planner does; a
+compare comes from the two
 planners run on their own, so the one that reads both plans off one stop
 matrix does; and telemetry samples come from the sampling loop written
 out over the flight's attributes, so the flight's moves, whose rows are
@@ -49,7 +47,6 @@ from skyway_delivery import (
     stop_matrix,
 )
 from skyway_delivery.errors import BatteryDepleted, NonFiniteLength
-from skyway_delivery.planner import _nearest_first
 from skyway_delivery.simulator import _BOUNDARY_EPS, TelemetryRecord, _Flight
 
 N1_NODE_SPECS = [
@@ -229,18 +226,19 @@ def simple_path_minima(network: SkywayNetwork, source: str) -> dict[str, float]:
 
 
 def matrix_ndf_plan(network: SkywayNetwork, source: str, packages) -> MissionPlan:
-    """The NDF plan from ``_nearest_first`` over the full stop matrix, stop 0
-    being the source and stop i the destination of the i-th package by id;
-    the oracle for ``plan_ndf``, whose searches end at the nearest stop."""
-    ordered = sorted(packages, key=lambda p: p.id)
-    stops = [source, *(p.destination for p in ordered)]
-    paths = stop_matrix(network, stops)
+    """The NDF plan read off the full stop matrix: from each stop on to the
+    package whose destination is nearest, the smaller id on a tie, then
+    back to the source; the oracle for ``plan_ndf``, whose searches end at
+    the nearest stop."""
+    paths = stop_matrix(network, [source, *(p.destination for p in packages)])
+    left = list(packages)
     legs = []
     at = source
-    for stop in _nearest_first([[paths[a][b].total_length for b in stops] for a in stops]):
-        package = ordered[stop - 1]
-        legs.append(Leg(paths[at][package.destination], package.id))
-        at = package.destination
+    while left:
+        chosen = min(left, key=lambda p: (paths[at][p.destination].total_length, p.id))
+        legs.append(Leg(paths[at][chosen.destination], chosen.id))
+        left.remove(chosen)
+        at = chosen.destination
     legs.append(Leg(paths[at][source], None))
     return MissionPlan(source=source, legs=tuple(legs), strategy_label="ndf")
 

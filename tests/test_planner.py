@@ -14,10 +14,13 @@ from skyway_delivery import (
     MissionPlan,
     Package,
     Path,
+    Scenario,
     StringRig,
     assign_levels,
     build_network,
     check_feasibility,
+    compare_strategies,
+    generate_scenario,
     optimal_order,
     parse_scenario,
     plan_ndf,
@@ -26,6 +29,7 @@ from skyway_delivery import (
     shortest_paths_from,
     simulate_mission,
 )
+from skyway_delivery import graph, planner
 from skyway_delivery.errors import (
     InfeasiblePayload,
     InvalidPackage,
@@ -33,7 +37,6 @@ from skyway_delivery.errors import (
     UnknownDestination,
     ValidationError,
 )
-from skyway_delivery.planner import _nearest_first
 
 
 def test_feasibility_within_limits(n1_packages):
@@ -337,20 +340,49 @@ def test_optimal_order_takes_an_infinite_distance():
     assert optimal_order([[0, math.inf], [math.inf, 0]]) == ((1,), math.inf)
 
 
+def _compared_ndf_order(node_specs, segment_specs, packages) -> tuple[str, ...]:
+    """The NDF release order that ``compare_strategies`` reads off its stop
+    matrix, for packages sent from S."""
+    scenario = Scenario(build_network(node_specs, segment_specs), "S", DroneConfig(),
+                        StringRig(), tuple(packages))
+    return compare_strategies(scenario).ndf.release_order
+
+
 def test_nearest_first_breaks_a_tie_toward_the_smaller_stop():
-    # Stops 2 and 3 are equally near the start, then 1 and 3 from stop 2.
-    dist = [[0, 5, 2, 2], [5, 0, 1, 4], [2, 1, 0, 1], [2, 4, 1, 0]]
-    assert _nearest_first(dist) == (2, 1, 3)
+    # A and B are both 1.0 from S, and A's walk is the smaller, but p1 goes to B.
+    order = _compared_ndf_order([("S", 0.0, 0.0), ("A", 1.0, 0.0), ("B", -1.0, 0.0)],
+                                [("S", "A"), ("S", "B")],
+                                [Package("p2", 1.0, "A"), Package("p1", 1.0, "B")])
+    assert order == ("p1", "p2")
 
 
 def test_nearest_first_takes_a_repeated_destination_next():
-    # Stops 2 and 3 share a rooftop, so the 0.0 entry beats the smaller stop 1.
-    dist = [[0, 2, 1, 1], [2, 0, 0.5, 0.5], [1, 0.5, 0, 0.0], [1, 0.5, 0.0, 0]]
-    assert _nearest_first(dist) == (2, 3, 1)
+    # From B, p3's 0.0 beats the smaller id p1, 3.0 away at A.
+    order = _compared_ndf_order([("S", 0.0, 0.0), ("A", -2.0, 0.0), ("B", 1.0, 0.0)],
+                                [("S", "A"), ("S", "B")],
+                                [Package("p1", 1.0, "A"), Package("p2", 1.0, "B"),
+                                 Package("p3", 1.0, "B")])
+    assert order == ("p2", "p3", "p1")
 
 
 def test_nearest_first_without_stops():
-    assert _nearest_first([[0.0]]) == ()
+    assert _compared_ndf_order([("S", 0.0, 0.0), ("A", 1.0, 0.0)], [("S", "A")], []) == ()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ndf_searches_once_per_package_and_once_for_the_return_leg(monkeypatch, seed):
+    scenario = generate_scenario(500, 9, seed)
+    searches = []
+    settle = graph._settle
+
+    def counted(network, source, stops, **kwargs):
+        searches.append(kwargs)
+        return settle(network, source, stops, **kwargs)
+
+    for module in (graph, planner):
+        monkeypatch.setattr(module, "_settle", counted)
+    plan_ndf(scenario.network, scenario.source, scenario.packages)
+    assert searches == [{"nearest": True}] * (len(scenario.packages) + 1)
 
 
 def _manifests(data, network, max_packages=6):
@@ -441,6 +473,12 @@ def test_ndf_takes_the_smaller_id_of_stops_at_an_equal_distance():
      ["packages[0]: expected a Package, got int", "packages[1]: expected a Package, got int"]),
     (lambda net, pk: check_feasibility(None, pk, level_count=2.5),
      ["level_count: expected an int, got float"]),
+    (lambda net, pk: check_feasibility(None, [], level_count=-1),
+     ["level_count: must be >= 0 (got -1)"]),
+    (lambda net, pk: plan_ndf(net, "S", pk, level_count=-3),
+     ["level_count: must be >= 0 (got -3)"]),
+    (lambda net, pk: plan_optimal(net, "S", pk, drone=5, level_count=-1),
+     ["drone: expected a DroneConfig, got int", "level_count: must be >= 0 (got -1)"]),
     (lambda net, pk: check_feasibility(1, [None], level_count="3"),
      ["drone: expected a DroneConfig, got int", "packages[0]: expected a Package, got NoneType",
       "level_count: expected an int, got str"]),

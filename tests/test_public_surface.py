@@ -186,6 +186,10 @@ _N1_RUNS = _N1_LOG._runs
      "plan.legs[0].path: expected a Path, got tuple"),
     (lambda: sd.plan_total_distance(_N1_PLAN._replace(legs=(sd.Leg(sd.Path(("S",), "0")),))),
      "plan.legs[0].path.total_length: expected a number, got str"),
+    (lambda: sd.plan_total_distance(_N1_PLAN._replace(legs=(sd.Leg(sd.Path(("S",), -5.0)),))),
+     "plan.legs[0].path.total_length: must be a number >= 0 (got -5.0)"),
+    (lambda: sd.assign_levels(_N1_PLAN._replace(legs=(sd.Leg(sd.Path(("S",), math.nan)),))),
+     "plan.legs[0].path.total_length: must be a number >= 0 (got nan)"),
     (lambda: sd.assign_levels(_N1_PLAN._replace(legs=(sd.Leg(sd.Path(("S",), 0.0), ["p1"]),))),
      "plan.legs[0].release: expected a non-empty string"),
     (lambda: sd.StringRig().hang("1"), "level: expected an int, got str"),
@@ -269,7 +273,10 @@ def test_output_only_results_are_named_tuples():
     assert [f.name for f in dataclasses.fields(sd.SkywayNetwork)] == ["nodes", "segments"]
 
 
-_CHECKS = ("_judge", "_checked", "_require_plan", "_check_consistency", "_is_walk")
+# The judging checks, then the public searches and the node-list check,
+# each of which judges its arguments again.
+_CHECKS = ("_judge", "_checked", "_require_plan", "_check_consistency", "_is_walk",
+           "shortest_paths_from", "shortest_path", "_distinct_nodes")
 
 
 def _counting_checks(monkeypatch, checks=_CHECKS) -> Counter:
@@ -278,9 +285,11 @@ def _counting_checks(monkeypatch, checks=_CHECKS) -> Counter:
     calls: Counter = Counter()
     modules = (sd.graph, sd.planner, sd.simulator, sd.scenario)
     for name in checks:
-        def counted(*args, name=name, original=getattr(sd.simulator, name)):
+        original = next(getattr(module, name) for module in modules if hasattr(module, name))
+
+        def counted(*args, name=name, original=original, **kwargs):
             calls[name] += 1
-            return original(*args)
+            return original(*args, **kwargs)
         for module in modules:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted)
@@ -290,11 +299,11 @@ def _counting_checks(monkeypatch, checks=_CHECKS) -> Counter:
 # Calls of each check in _CHECKS per public call, in that order; "legs" is
 # one per leg of the plan flown. _require_plan may run up to its count.
 _ONE_JUDGEMENT = {
-    "parse_scenario": (1, 1, 0, 0, 0),
-    "compare_strategies": (0, 1, 0, 0, 0),
-    "simulate_mission": (1, 1, 2, 1, "legs"),
-    "plan_ndf": (1, 1, 0, 0, 0),
-    "plan_optimal": (1, 1, 0, 0, 0),
+    "parse_scenario": (1, 1, 0, 0, 0, 0, 0, 0),
+    "compare_strategies": (0, 1, 0, 0, 0, 0, 0, 1),
+    "simulate_mission": (1, 1, 2, 1, "legs", 0, 0, 0),
+    "plan_ndf": (1, 1, 0, 0, 0, 0, 0, 0),
+    "plan_optimal": (1, 1, 0, 0, 0, 0, 0, 1),
 }
 
 

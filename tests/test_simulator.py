@@ -175,18 +175,23 @@ def test_cruise_and_release_altitudes_along_the_n1_flight(packages, rig, cruise,
     assert (cruised, released) == (cruise, release)
 
 
-def test_a_flight_reads_each_delivery_legs_hang_once(monkeypatch):
+def test_a_flight_reads_each_delivery_legs_hang_once():
     """The cruise and the descent of a delivery leg share one hang, the one
     of the lowest loaded level; the return leg reads none."""
-    levels, hang = [], StringRig.hang
+    indices = []
 
-    def counted(rig, level):
-        levels.append(level)
-        return hang(rig, level)
-    monkeypatch.setattr(StringRig, "hang", counted)
-    _, report = fly_n1()
+    class CountedLevels(tuple):
+        def __getitem__(self, index):
+            indices.append(index)
+            return super().__getitem__(index)
+
+    rig = StringRig()
+    object.__setattr__(rig, "levels", CountedLevels(rig.levels))
+    network, packages = helpers.build_n1(), list(helpers.N1_PACKAGES)
+    plan = plan_ndf(network, "S", packages)
+    _, report = simulate_mission(network, plan, assign_levels(plan), DroneConfig(), rig, packages)
     assert report.completed
-    assert levels == [1, 2, 3]
+    assert indices == [0, 1, 2]
 
 
 def test_n1_mission_event_sequence():
